@@ -27,6 +27,7 @@ import sys
 
 from .core import (
     FiniteIntegerSet,
+    _set_str,
     exceptional_profile,
     normalize,
     reflect,
@@ -39,14 +40,14 @@ from .errors import (
 )
 from .families import appendix_family_threshold, classify_exceptional_family
 from .modular import growth_profile, residues_mod_b, small_doubling_families
-from .scan import ScanConfig, render_report, scan_theorems
+from .scan import ScanConfig, emit_report, render_report, scan_theorems
 from .verifier import all_n_criterion, check_structure, min_threshold
 
 __all__ = ["main"]
 
 
-def _parse_set_literal(text: str) -> tuple[FiniteIntegerSet, int, int, tuple[int, ...]]:
-    """Parse "0,3,5" into a normalized set plus the (g, tau) applied."""
+def _parse_set_literal(text: str) -> tuple[int, int, FiniteIntegerSet]:
+    """Parse "0,3,5" into the (g, tau) applied and the normalized set."""
     tokens = [token.strip() for token in text.split(",")]
     try:
         values = [int(token) for token in tokens]
@@ -54,12 +55,7 @@ def _parse_set_literal(text: str) -> tuple[FiniteIntegerSet, int, int, tuple[int
         raise InvalidSetError(f"not a comma-separated integer list: {text!r}")
     if len(values) != len(set(values)):
         raise InvalidSetError(f"duplicate elements in {text!r}")
-    g, tau, normalized = normalize(values)
-    return normalized, g, tau, tuple(sorted(values))
-
-
-def _gap_str(gaps: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(x) for x in gaps) + "}"
+    return normalize(values)
 
 
 def _print_notice(out, normalized: FiniteIntegerSet, g: int, tau: int) -> None:
@@ -68,7 +64,7 @@ def _print_notice(out, normalized: FiniteIntegerSet, g: int, tau: int) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    a_set, g, tau, _ = _parse_set_literal(args.set)
+    g, tau, a_set = _parse_set_literal(args.set)
     n_summands = args.N if args.N is not None else max(1, a_set.b - a_set.ell)
     if n_summands < 1:
         raise InvalidSetError(f"N must be at least 1, got {n_summands}")
@@ -105,8 +101,8 @@ def _cmd_analyze(args) -> int:
     out = sys.stdout
     _print_notice(out, a_set, g, tau)
     out.write(f"set {a_set}  b={a_set.b}  ell={a_set.ell}\n")
-    out.write(f"E(A)   = {_gap_str(prof.gaps)}\n")
-    out.write(f"E(b-A) = {_gap_str(prof_r.gaps)}\n")
+    out.write(f"E(A)   = {_set_str(prof.gaps)}\n")
+    out.write(f"E(b-A) = {_set_str(prof_r.gaps)}\n")
     for a in range(1, a_set.b):
         out.write(
             f"class {a}: first reachable {prof.first_reachable_in(a)} "
@@ -128,7 +124,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    a_set, g, tau, _ = _parse_set_literal(args.set)
+    g, tau, a_set = _parse_set_literal(args.set)
     out = sys.stdout
     _print_notice(out, a_set, g, tau)
     labels = classify_exceptional_family(a_set, args.delta)
@@ -145,13 +141,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_kneser(args) -> int:
-    a_set, g, tau, _ = _parse_set_literal(args.set)
+    g, tau, a_set = _parse_set_literal(args.set)
     out = sys.stdout
     _print_notice(out, a_set, g, tau)
     residues = residues_mod_b(a_set)
     profile = growth_profile(residues, k_max=args.kmax)
-    rendered = "{" + ",".join(str(r) for r in residues.to_tuple()) + "}"
-    out.write(f"residues mod {residues.modulus}: {rendered}\n")
+    out.write(f"residues mod {residues.modulus}: {_set_str(residues)}\n")
     for step in profile.entries:
         out.write(
             f"k={step.k}: |kB|={step.size}, stabilizer order {step.stabilizer.order}\n"
@@ -172,7 +167,10 @@ def _cmd_kneser(args) -> int:
 def _cmd_scan(args) -> int:
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("SUMSET_JOBS", "1"))
+        raw = os.environ.get("SUMSET_JOBS", "1")
+        jobs = int(raw) if raw.strip().isdecimal() else 0
+        if jobs < 1:
+            raise ValueError(f"SUMSET_JOBS must be a positive integer, got {raw!r}")
     config = ScanConfig(
         b_min=2,
         b_max=args.bmax,
@@ -188,16 +186,14 @@ def _cmd_scan(args) -> int:
         result = err.result
         code = 3
         sys.stderr.write(f"catalog mismatch: {err}\n")
-    text = render_report(result, "json")
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            emit_report(result, "json", args.out)
         except OSError as err:
             sys.stderr.write(f"cannot write report: {err}\n")
             return 4
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_report(result, "json"))
     return code
 
 

@@ -36,6 +36,7 @@ partial sum at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -95,10 +96,7 @@ class FiniteIntegerSet:
 
     @property
     def is_normalized(self) -> bool:
-        g = 0
-        for x in self.elements:
-            g = gcd(g, x)
-        return self.elements[0] == 0 and g == 1
+        return self.elements[0] == 0 and gcd(*self.elements) == 1
 
     def __contains__(self, n: int) -> bool:
         return n in self.elements
@@ -110,7 +108,20 @@ class FiniteIntegerSet:
         return len(self.elements)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
+        return _set_str(self.elements)
+
+
+def _set_str(values: Iterable[int]) -> str:
+    """Render integers as a brace-enclosed list without spaces: {0,3,5}."""
+    return "{" + ",".join(str(x) for x in values) + "}"
+
+
+def _iter_bits(bits: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class Normalization(NamedTuple):
@@ -131,9 +142,7 @@ def normalize(raw: Iterable[int]) -> Normalization:
         raise DegenerateSetError(f"need at least two distinct values, got {values}")
     tau = values[0]
     shifted = [x - tau for x in values]
-    g = 0
-    for x in shifted:
-        g = gcd(g, x)
+    g = gcd(*shifted)
     return Normalization(g, tau, FiniteIntegerSet(tuple(x // g for x in shifted)))
 
 
@@ -164,11 +173,7 @@ class ReachabilityMask:
         return 0 <= n <= self.bound and (self.bits >> n) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return _iter_bits(self.bits)
 
     @property
     def count(self) -> int:
@@ -200,10 +205,7 @@ def n_fold_sumset(a_set: FiniteIntegerSet, n_summands: int) -> ReachabilityMask:
     """The exact N-fold sumset NA as a mask over [0, b*N]."""
     if n_summands < 1:
         raise ValueError(f"number of summands must be >= 1, got {n_summands}")
-    steps = _iter_nfold(a_set.elements)
-    mask = 0
-    for _ in range(n_summands):
-        mask = next(steps)
+    mask = next(islice(_iter_nfold(a_set.elements), n_summands - 1, None))
     return ReachabilityMask(a_set.b * n_summands, mask)
 
 
@@ -333,15 +335,7 @@ def represent(n: int, a_set: FiniteIntegerSet, n_summands: int) -> Representatio
         )
     # reach[k] = bitmask of kA, truncated to [0, n] (enough to answer
     # membership of remainders, which never exceed n).
-    cap = (1 << (n + 1)) - 1
-    reach = [1]
-    mask = 1
-    for _ in range(n_summands):
-        acc = 0
-        for a in a_set.elements:
-            acc |= mask << a
-        mask = acc & cap
-        reach.append(mask)
+    reach = [1, *islice(_iter_nfold(a_set.elements, n), n_summands)]
     if not (reach[n_summands] >> n) & 1:
         raise NotRepresentableError(
             f"{n} is not a sum of {n_summands} elements of {a_set}"

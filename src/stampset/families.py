@@ -27,16 +27,19 @@ mirror matches.
 
 Sufficiency catalog (:func:`appendix_family_threshold`): six parametrized
 shapes with two or three nonzero elements below ``b`` whose thresholds
-are known exactly or near-exactly:
+are known exactly or near-exactly.  The same six shapes are the sets whose
+doubling mod ``b`` stalls at ``|2B| = ell + 3``, listed there as ``K1``..``K6``
+(:func:`~stampset.modular.small_doubling_families`); the one table
+``_SPARSE_SHAPES`` serves both views:
 
-* ``A1``: ``{0, a, 2a, b}``, ``gcd(a, b) = 1`` - holds for every ``N``.
-* ``A2``: ``{0, 2a - b, a, b}``, ``gcd(a, b) = 1`` - holds for every ``N``.
-* ``A3``: ``{0, h, b/2, b}``, ``gcd(h, b/2) = 1`` - holds for every ``N``.
-* ``A4``: ``{0, h, b - h, b}``, ``gcd(h, b) = 1`` - holds for
+* ``A1 = K1``: ``{0, a, 2a, b}``, ``gcd(a, b) = 1`` - holds for every ``N``.
+* ``A2 = K2``: ``{0, 2a - b, a, b}``, ``gcd(a, b) = 1`` - holds for every ``N``.
+* ``A3 = K4``: ``{0, h, b/2, b}``, ``gcd(h, b/2) = 1`` - holds for every ``N``.
+* ``A4 = K3``: ``{0, h, b - h, b}``, ``gcd(h, b) = 1`` - holds for
   ``N >= b - 1 - h``.
-* ``A5``: ``{0, a, a + b/2, b}``, ``gcd(a, b/2) = 1`` - holds for
+* ``A5 = K5``: ``{0, a, a + b/2, b}``, ``gcd(a, b/2) = 1`` - holds for
   ``N >= b/2``.
-* ``A6``: ``{0, a, b/2, a + b/2, b}``, ``gcd(a, b/2) = 1`` - holds for
+* ``A6 = K6``: ``{0, a, b/2, a + b/2, b}``, ``gcd(a, b/2) = 1`` - holds for
   ``N >= b/2 - 1``.
 
 The printed side conditions (the ``gcd`` requirements and the sumset
@@ -50,8 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .core import FiniteIntegerSet, n_fold_sumset, reflect
-from .errors import InvalidSetError
+from .core import FiniteIntegerSet, _require_normalized, n_fold_sumset, reflect
 
 __all__ = [
     "FamilyLabel",
@@ -193,8 +195,7 @@ def classify_exceptional_family(
     and carry ``reflected=True``; a self-symmetric shape therefore shows
     up twice, once per side.
     """
-    if not a_set.is_normalized:
-        raise InvalidSetError(f"{a_set} is not normalized")
+    _require_normalized(a_set)
     if delta not in (1, 2):
         raise ValueError(f"delta must be 1 or 2, got {delta}")
     matchers = _DELTA_ONE_MATCHERS if delta == 1 else _DELTA_TWO_MATCHERS
@@ -204,6 +205,33 @@ def classify_exceptional_family(
             for kind, parameters in matcher(subject):
                 labels.append(FamilyLabel(kind, parameters, mirrored))
     return tuple(labels)
+
+
+# The sparse shapes of the module docstring, one row each, in the order
+# appendix_family_threshold tries them ({0,1,2,3} fits both A1 and A4).
+# Columns: sufficiency family, doubling family, parameter name, m (b must be
+# a multiple of m and the parameter h coprime to b/m), the interior as a
+# function of (b, h), and the threshold as a function of (b, h).
+_SPARSE_SHAPES = (
+    ("A1", "K1", "a", 1, lambda b, h: (h, 2 * h), lambda b, h: 1),
+    ("A2", "K2", "a", 1, lambda b, h: (2 * h - b, h), lambda b, h: 1),
+    ("A3", "K4", "h", 2, lambda b, h: tuple(sorted((h, b // 2))), lambda b, h: 1),
+    ("A4", "K3", "h", 1, lambda b, h: (h, b - h), lambda b, h: b - 1 - h),
+    ("A5", "K5", "a", 2, lambda b, h: (h, h + b // 2), lambda b, h: b // 2),
+    ("A6", "K6", "a", 2, lambda b, h: (h, b // 2, h + b // 2), lambda b, h: b // 2 - 1),
+)
+
+
+def _match_sparse_shape(a_set: FiniteIntegerSet) -> tuple[str, str, str, int, int] | None:
+    """The first sparse shape A fits, as (sufficiency family, doubling family,
+    parameter name, parameter, threshold); None when no shape fits."""
+    b = a_set.b
+    interior = a_set.elements[1:-1]
+    for kind, doubling, name, m, shape, threshold in _SPARSE_SHAPES:
+        for h in interior:
+            if b % m == 0 and gcd(h, b // m) == 1 and shape(b, h) == interior:
+                return kind, doubling, name, h, threshold(b, h)
+    return None
 
 
 def appendix_family_threshold(
@@ -218,28 +246,9 @@ def appendix_family_threshold(
     Patterns are tried in order A1..A6 and the first match wins; returns
     None when no shape fits.
     """
-    if not a_set.is_normalized:
-        raise InvalidSetError(f"{a_set} is not normalized")
-    b = a_set.b
-    interior = a_set.elements[1:-1]
-    half = b // 2 if b % 2 == 0 else None
-
-    if len(interior) == 2:
-        x, y = interior
-        if y == 2 * x and gcd(x, b) == 1:
-            return FamilyLabel("A1", (("a", x),)), 1
-        if x == 2 * y - b and gcd(y, b) == 1:
-            return FamilyLabel("A2", (("a", y),)), 1
-        if half is not None and half in (x, y):
-            h = y if x == half else x
-            if gcd(h, half) == 1:
-                return FamilyLabel("A3", (("h", h),)), 1
-        if x + y == b and gcd(x, b) == 1:
-            return FamilyLabel("A4", (("h", x),)), b - 1 - x
-        if half is not None and y == x + half and gcd(x, half) == 1:
-            return FamilyLabel("A5", (("a", x),)), half
-    elif len(interior) == 3 and half is not None:
-        x, y, z = interior
-        if y == half and z == x + half and gcd(x, half) == 1:
-            return FamilyLabel("A6", (("a", x),)), half - 1
-    return None
+    _require_normalized(a_set)
+    matched = _match_sparse_shape(a_set)
+    if matched is None:
+        return None
+    kind, _, name, h, threshold = matched
+    return FamilyLabel(kind, ((name, h),)), threshold

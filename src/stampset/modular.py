@@ -10,7 +10,8 @@ key growth facts, all checked here at runtime:
   * if B contains 0, generates, and has at least two non-zero residues,
     then |kB| >= min(b, |(k-1)B| + 2) for every k >= 2;
   * |2B| >= min(b, ell + 3) always, and |2B| >= min(b, ell + 4) outside
-    six explicit one-parameter families of sets (K1..K6 below).
+    six explicit one-parameter families of sets (K1..K6, the sparse shapes
+    tabled in :mod:`stampset.families`).
 
 Residue sets are bitmasks over b bits; a modular sumset is an or of
 rotations, and subgroups of Z/bZ are enumerated as dZ/bZ for divisors d.
@@ -22,14 +23,14 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .core import FiniteIntegerSet
+from .core import FiniteIntegerSet, _iter_bits, _require_normalized, _set_str
 from .errors import (
     EmptySetError,
-    InvalidSetError,
     ModulusMismatchError,
     NotGeneratingError,
     TooSmallError,
 )
+from .families import _match_sparse_shape
 
 __all__ = [
     "ResidueSet",
@@ -73,17 +74,13 @@ class ResidueSet:
         return (self.bits >> (residue % self.modulus)) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return _iter_bits(self.bits)
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple(self)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(r) for r in self) + "} mod " + str(self.modulus)
+        return f"{_set_str(self)} mod {self.modulus}"
 
 
 def residues_mod_b(a_set: FiniteIntegerSet) -> ResidueSet:
@@ -157,20 +154,28 @@ class GrowthProfile:
     """Sizes and stabilizers of the iterated sumsets kB in Z/bZ.
 
     ``entries`` stops at saturation (|kB| = b) or at the requested k_max,
-    whichever comes first.  ``smallest_k(delta)`` returns the least K >= 2
-    with |KB| >= min(b, 2K + ell + delta - 1), where ell is the number of
+    whichever comes first, and computes its stabilizers on each access.
+    ``smallest_k(delta)`` returns the least K >= 2 with
+    |KB| >= min(b, 2K + ell + delta - 1), where ell is the number of
     non-zero residues of B; saturation guarantees this terminates by K = b.
     """
 
     residues: ResidueSet
-    entries: tuple[GrowthStep, ...]
-    _sizes: tuple[int, ...]  # 1-indexed by k, always reaching saturation
+    _layers: tuple[ResidueSet, ...]  # kB at index k-1, always reaching saturation
+    k_max: int | None = None
+
+    @property
+    def entries(self) -> tuple[GrowthStep, ...]:
+        return tuple(
+            GrowthStep(k, layer.size, stabilizer(layer))
+            for k, layer in enumerate(self._layers[: self.k_max], start=1)
+        )
 
     def size_of(self, k: int) -> int:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if k <= len(self._sizes):
-            return self._sizes[k - 1]
+        if k <= len(self._layers):
+            return self._layers[k - 1].size
         return self.residues.modulus  # saturated from here on
 
     def smallest_k(self, delta: int) -> int:
@@ -198,46 +203,29 @@ def growth_profile(residues: ResidueSet, k_max: int | None = None) -> GrowthProf
     if 0 not in residues:
         raise NotGeneratingError(f"{residues} must contain the residue 0")
     b = residues.modulus
-    g = b
-    for r in residues:
-        g = gcd(g, r)
-    if g != 1:
+    if gcd(b, *residues) != 1:
         raise NotGeneratingError(f"{residues} does not generate Z/{b}")
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
-    # sizes always run to saturation (smallest_k needs them); entries stop
+    # layers always run to saturation (smallest_k needs them); entries stop
     # at k_max when one is given.
     ell = residues.size - 1
-    entries: list[GrowthStep] = []
-    sizes: list[int] = []
-    mask = residues.bits
-    k = 1
-    while True:
-        size = mask.bit_count()
-        if ell >= 2 and k >= 2 and size < min(b, sizes[-1] + 2):
-            raise RuntimeError(
-                f"growth law violated at k={k} for {residues}: "
-                f"|kB|={size} < min({b}, {sizes[-1]}+2)"
-            )
-        sizes.append(size)
-        if k_max is None or k <= k_max:
-            entries.append(GrowthStep(k, size, stabilizer(ResidueSet(b, mask))))
-        if size == b:
-            break
-        if k >= b:
+    layers = [residues]
+    while (size := layers[-1].size) < b:
+        k = len(layers) + 1
+        if k > b:
             raise RuntimeError(  # pragma: no cover - generating sets saturate
                 f"{residues} failed to saturate within k <= {b}"
             )
-        acc = 0
-        probe = residues.bits
-        while probe:
-            low = probe & -probe
-            acc |= _rotate(mask, low.bit_length() - 1, b)
-            probe ^= low
-        mask = acc
-        k += 1
-    return GrowthProfile(residues, tuple(entries), tuple(sizes))
+        layer = mod_sumset(residues, layers[-1])
+        if ell >= 2 and layer.size < min(b, size + 2):
+            raise RuntimeError(
+                f"growth law violated at k={k} for {residues}: "
+                f"|kB|={layer.size} < min({b}, {size}+2)"
+            )
+        layers.append(layer)
+    return GrowthProfile(residues, tuple(layers), k_max)
 
 
 @dataclass(frozen=True)
@@ -248,56 +236,29 @@ class DoublingMatch:
     h: int
 
 
-# The six families attaining |2B| = ell + 3 < min(b, ell + 4).  Written as
-# the full sets A (the reduction drops the top element b = 0 mod b):
-#
-#   K1  {0, h, 2h, b}          gcd(h, b) = 1
-#   K2  {0, 2h-b, h, b}        gcd(h, b) = 1
-#   K3  {0, h, b-h, b}         gcd(h, b) = 1
-#   K4  {0, h, b/2, b}         gcd(h, b/2) = 1, b even
-#   K5  {0, h, h+b/2, b}       gcd(h, b/2) = 1, b even
-#   K6  {0, h, b/2, h+b/2, b}  gcd(h, b/2) = 1, b even
 def small_doubling_families(a_set: FiniteIntegerSet) -> tuple[DoublingMatch, ...]:
     """Match A against the families whose doubling stalls at |2B| = ell + 3.
 
-    Matches are only reported when b >= ell + 4.  Below that the stronger
+    These are the sparse shapes K1..K6 of :mod:`stampset.families`, the
+    same sets as the sufficiency families A1..A6.  Matches are only
+    reported when b >= ell + 4.  Below that the stronger
     bound min(b, ell + 4) collapses to b, every admissible set already
     attains |2B| = b, and no set is exceptional even when its elements
-    happen to line up with one of the patterns.
+    happen to line up with one of the patterns.  From b >= ell + 4 on no
+    set fits two shapes, so the result holds at most one match.
 
     Requires a normalized set with at least two interior elements.
     """
-    if not a_set.is_normalized:
-        raise InvalidSetError(f"set {a_set} is not normalized (min 0, gcd 1)")
+    _require_normalized(a_set)
     if a_set.ell < 2:
         raise TooSmallError(
             f"small-doubling families need at least 2 interior elements, "
             f"got {a_set.ell}"
         )
-    b = a_set.b
-    if b < a_set.ell + 4:
+    if a_set.b < a_set.ell + 4:
         return ()
-    matches: list[DoublingMatch] = []
-    interior = a_set.elements[1:-1]
-    if len(interior) == 2:
-        x, y = interior
-        if y == 2 * x and gcd(x, b) == 1:
-            matches.append(DoublingMatch("K1", x))
-        if x == 2 * y - b and gcd(y, b) == 1:
-            matches.append(DoublingMatch("K2", y))
-        if x + y == b and gcd(x, b) == 1:
-            matches.append(DoublingMatch("K3", x))
-        if b % 2 == 0:
-            half = b // 2
-            if half in (x, y):
-                h = y if x == half else x
-                if gcd(h, half) == 1:
-                    matches.append(DoublingMatch("K4", h))
-            if y == x + half and gcd(x, half) == 1:
-                matches.append(DoublingMatch("K5", x))
-    elif len(interior) == 3 and b % 2 == 0:
-        h, mid, top = interior
-        half = b // 2
-        if mid == half and top == h + half and gcd(h, half) == 1:
-            matches.append(DoublingMatch("K6", h))
-    return tuple(matches)
+    matched = _match_sparse_shape(a_set)
+    if matched is None:
+        return ()
+    _, label, _, h, _ = matched
+    return (DoublingMatch(label, h),)

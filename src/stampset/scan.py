@@ -37,13 +37,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator
 
-from .core import FiniteIntegerSet, exceptional_profile, reflect
+from .core import FiniteIntegerSet, _iter_bits, _set_str, exceptional_profile, reflect
 from .errors import CatalogMismatchError
 from .families import classify_exceptional_family
 from .verifier import DEFAULT_WITNESS_CAP, _failure_scan
@@ -117,15 +118,28 @@ class ScanResult:
     timing: dict[int, float] = field(default_factory=dict, compare=False)
 
 
-def _interior_from_mask(mask: int) -> tuple[int, ...]:
-    interior = []
-    j = 0
-    while mask:
-        if mask & 1:
-            interior.append(j + 1)
-        mask >>= 1
-        j += 1
-    return tuple(interior)
+@dataclass
+class _Tally:
+    """What a mask walk passed over besides the sets it yielded."""
+
+    mask_sum: int = 0  # every mask visited, for the shard checksum
+    skipped_gcd: int = 0  # masks inside the ell window with gcd > 1
+
+
+def _walk_sets(
+    b: int, mask_lo: int, mask_hi: int, ell_lo: int, ell_hi: int, tally: _Tally
+) -> Iterator[tuple[int, FiniteIntegerSet]]:
+    """Yield (mask, set) for each normalized set with endpoints 0 and b
+    whose interior mask lies in [mask_lo, mask_hi) and size in [ell_lo, ell_hi]."""
+    for mask in range(mask_lo, mask_hi):
+        tally.mask_sum += mask
+        interior = tuple(j + 1 for j in _iter_bits(mask))
+        if not ell_lo <= len(interior) <= ell_hi:
+            continue
+        if gcd(b, *interior) != 1:
+            tally.skipped_gcd += 1
+            continue
+        yield mask, FiniteIntegerSet((0, *interior, b))
 
 
 def enumerate_sets(
@@ -142,16 +156,8 @@ def enumerate_sets(
         raise ValueError(f"modulus must be at least 2, got {b}")
     lo = 0 if ell_min is None else ell_min
     hi = b - 1 if ell_max is None else ell_max
-    for mask in range(1 << (b - 1)):
-        interior = _interior_from_mask(mask)
-        if not lo <= len(interior) <= hi:
-            continue
-        g = b
-        for x in interior:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        yield FiniteIntegerSet((0, *interior, b))
+    for _, a_set in _walk_sets(b, 0, 1 << (b - 1), lo, hi, _Tally()):
+        yield a_set
 
 
 def _scan_unit(
@@ -165,24 +171,12 @@ def _scan_unit(
 ):
     """Scan one contiguous bitmask range; returns plain tuples for IPC."""
     analyzed = 0
-    skipped_gcd = 0
-    mask_sum = 0
+    tally = _Tally()
     failures = []
     mismatches = []
-    for mask in range(mask_lo, mask_hi):
-        mask_sum += mask
-        interior = _interior_from_mask(mask)
-        ell = len(interior)
-        if not ell_lo <= ell <= ell_hi:
-            continue
-        g = b
-        for x in interior:
-            g = gcd(g, x)
-        if g != 1:
-            skipped_gcd += 1
-            continue
+    for mask, a_set in _walk_sets(b, mask_lo, mask_hi, ell_lo, ell_hi, tally):
         analyzed += 1
-        a_set = FiniteIntegerSet((0, *interior, b))
+        ell = a_set.ell
         prof = exceptional_profile(a_set)
         prof_r = exceptional_profile(reflect(a_set))
         window_lo = max(1, b - ell - delta)
@@ -223,7 +217,7 @@ def _scan_unit(
                     f"N in [{window_lo}, {window_hi}]"
                 )
             mismatches.append((mask, a_set.elements, kind, detail))
-    return analyzed, skipped_gcd, mask_sum, failures, mismatches
+    return analyzed, tally.skipped_gcd, tally.mask_sum, failures, mismatches
 
 
 def _units_for(b: int, parallelism: int) -> list[tuple[int, int]]:
@@ -323,10 +317,6 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
     return result
 
 
-def _set_str(elements: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(x) for x in elements) + "}"
-
-
 def render_report(
     result: ScanResult, format: str = "json", include_timing: bool = False
 ) -> str:
@@ -400,7 +390,18 @@ def emit_report(
     destination: str = "",
     include_timing: bool = False,
 ) -> None:
-    """Write the rendered report to a file (UTF-8)."""
+    """Write the rendered report to a file (UTF-8).
+
+    The text goes to a new file beside the destination, which then replaces
+    it in one step, so a failed write leaves an existing report intact.
+    """
     text = render_report(result, format, include_timing)
-    with open(destination, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    partial = f"{destination}.{os.getpid()}.tmp"
+    handle = open(partial, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(partial, destination)
+    except BaseException:
+        os.remove(partial)
+        raise

@@ -27,16 +27,18 @@ agree.  Facts this module relies on and re-derives per call:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     ExceptionalProfile,
     FiniteIntegerSet,
+    _iter_bits,
     _iter_nfold,
+    _require_normalized,
     exceptional_profile,
     n_fold_sumset,
     reflect,
 )
-from .errors import InvalidResidueError, InvalidSetError
 from .modular import growth_profile, residues_mod_b
 
 __all__ = [
@@ -50,11 +52,6 @@ __all__ = [
 ]
 
 DEFAULT_WITNESS_CAP = 64
-
-
-def _require_normalized(a_set: FiniteIntegerSet) -> None:
-    if not a_set.is_normalized:
-        raise InvalidSetError(f"set {a_set} is not normalized (min 0, gcd 1)")
 
 
 def _spaced_ones(count: int, spacing: int) -> int:
@@ -81,13 +78,25 @@ def _description_mask(
     return mask
 
 
+def _checked_description(
+    a_set: FiniteIntegerSet,
+    prof: ExceptionalProfile,
+    prof_r: ExceptionalProfile,
+    sumset: int,
+    n_summands: int,
+) -> int:
+    """The description mask at N, after the containment check of check_structure."""
+    description = _description_mask(prof, prof_r, n_summands)
+    if sumset & ~description:
+        raise RuntimeError(
+            f"sumset escapes its description for {a_set} at N={n_summands}; "
+            "this contradicts a theorem and indicates a bug"
+        )
+    return description
+
+
 def _witnesses(diff: int, cap: int) -> tuple[int, ...]:
-    out: list[int] = []
-    while diff and len(out) < cap:
-        low = diff & -diff
-        out.append(low.bit_length() - 1)
-        diff ^= low
-    return tuple(out)
+    return tuple(islice(_iter_bits(diff), cap))
 
 
 @dataclass(frozen=True)
@@ -119,17 +128,12 @@ def check_structure(
     RuntimeError instead of being reported.
     """
     _require_normalized(a_set)
-    if n_summands < 1:
-        raise ValueError(f"number of summands must be >= 1, got {n_summands}")
+    if witness_cap < 1:
+        raise ValueError("witness_cap must be at least 1")
+    sumset = n_fold_sumset(a_set, n_summands).bits
     prof = exceptional_profile(a_set)
     prof_r = exceptional_profile(reflect(a_set))
-    sumset = n_fold_sumset(a_set, n_summands).bits
-    description = _description_mask(prof, prof_r, n_summands)
-    if sumset & ~description:
-        raise RuntimeError(
-            f"sumset escapes its description for {a_set} at N={n_summands}; "
-            "this contradicts a theorem and indicates a bug"
-        )
+    description = _checked_description(a_set, prof, prof_r, sumset, n_summands)
     diff = description & ~sumset
     return StructureReport(
         subject=a_set,
@@ -161,12 +165,7 @@ def _failure_scan(
         sumset = next(steps)
         if n_summands < n_lo:
             continue
-        description = _description_mask(prof, prof_r, n_summands)
-        if sumset & ~description:
-            raise RuntimeError(
-                f"sumset escapes its description for {a_set} at N={n_summands}; "
-                "this contradicts a theorem and indicates a bug"
-            )
+        description = _checked_description(a_set, prof, prof_r, sumset, n_summands)
         diff = description & ~sumset
         if diff:
             failures.append(
@@ -244,11 +243,9 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     b = a_set.b
-    if not 1 <= residue <= b - 1:
-        raise InvalidResidueError(f"residue must be in 1..{b - 1}, got {residue}")
     prof = exceptional_profile(a_set)
-    kb_size = growth_profile(residues_mod_b(a_set)).size_of(k)
     target = prof.first_reachable_in(residue) + (k - 1) * b
+    kb_size = growth_profile(residues_mod_b(a_set)).size_of(k)
     n_summands = max(1, 2 * k + b - kb_size - 1)
     if kb_size < b - prof.min_summands_for(residue):
         return PlacementCheck(
@@ -258,10 +255,8 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
             n_summands=n_summands,
             kb_size=kb_size,
         )
-    steps = _iter_nfold(a_set.elements, bit_limit=target)
-    mask = 0
-    for _ in range(n_summands):
-        mask = next(steps)
+    layers = _iter_nfold(a_set.elements, bit_limit=target)
+    mask = next(islice(layers, n_summands - 1, None))
     return PlacementCheck(
         holds=(mask >> target) & 1 == 1,
         hypothesis_met=True,

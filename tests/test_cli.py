@@ -42,6 +42,7 @@ def test_analyze_rejects_bad_literals(capsys):
     assert run_cli(capsys, "analyze", "0,x,5")[0] == 2
     assert run_cli(capsys, "analyze", "5")[0] == 2
     assert run_cli(capsys, "analyze", "0,3,5", "--N", "0")[0] == 2
+    assert run_cli(capsys, "analyze", "0,1,5,6", "--witness-cap", "0")[0] == 2
 
 
 def test_analyze_json_round_trip(capsys):
@@ -128,6 +129,12 @@ def test_scan_respects_jobs_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scan", "--bmax", "6")
     assert code == 0
     json.loads(out)
+
+    for bad in ("x", "0"):
+        monkeypatch.setenv("SUMSET_JOBS", bad)
+        code, _, err = run_cli(capsys, "scan", "--bmax", "3")
+        assert code == 2
+        assert "SUMSET_JOBS" in err
 
 
 def test_scan_rejects_bad_bmax(capsys):

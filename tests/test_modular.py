@@ -11,6 +11,7 @@ from stampset import (
     ModulusMismatchError,
     NotGeneratingError,
     TooSmallError,
+    appendix_family_threshold,
 )
 from stampset.modular import (
     ResidueSet,
@@ -159,7 +160,9 @@ def test_small_doubling_requires_two_interior():
 
 
 def test_small_doubling_bound_consistency_exhaustive():
-    # label absent => |2B| >= min(b, ell+4); label present => |2B| = ell+3
+    # label absent => |2B| >= min(b, ell+4); label present => |2B| = ell+3;
+    # and the doubling label is the sufficiency family's, renamed
+    a_to_k = {"A1": "K1", "A2": "K2", "A3": "K4", "A4": "K3", "A5": "K5", "A6": "K6"}
     for b in range(3, 15):
         for r in range(2, b):
             for interior in combinations(range(1, b), r):
@@ -169,6 +172,13 @@ def test_small_doubling_bound_consistency_exhaustive():
                 reduced = residues_mod_b(a)
                 two_b = mod_sumset(reduced, reduced).size
                 matches = small_doubling_families(a)
+                sparse = appendix_family_threshold(a)
+                if b >= a.ell + 4 and sparse is not None:
+                    label = sparse[0]
+                    expected = [(a_to_k[label.kind], label.parameters[0][1])]
+                    assert [(m.label, m.h) for m in matches] == expected, a
+                elif b >= a.ell + 4:
+                    assert matches == (), a
                 if matches:
                     assert two_b == a.ell + 3, a
                 else:

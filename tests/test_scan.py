@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
 
 from stampset import FiniteIntegerSet
+from stampset import scan
 from stampset.errors import CatalogMismatchError
 from stampset.scan import (
     FailureRecord,
@@ -188,3 +190,38 @@ def test_emit_report_bad_destination(tmp_path):
     result = ScanResult(ScanConfig(2, 2), 0, 0, (), (), {})
     with pytest.raises(OSError):
         emit_report(result, "json", str(tmp_path / "missing" / "report.json"))
+
+
+class _DiskFullHandle:
+    """A file handle whose write stores half the text, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_emit_report_failed_write_keeps_existing_report(tmp_path, monkeypatch):
+    destination = tmp_path / "report.json"
+    destination.write_text("previous report\n", encoding="utf-8")
+    real_open = open
+    monkeypatch.setattr(
+        scan,
+        "open",
+        lambda *args, **kwargs: _DiskFullHandle(real_open(*args, **kwargs)),
+        raising=False,
+    )
+    result = scan_theorems(ScanConfig(2, 6, delta=1))
+    with pytest.raises(OSError):
+        emit_report(result, "json", str(destination))
+    assert destination.read_text(encoding="utf-8") == "previous report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
