@@ -25,13 +25,7 @@ import json
 import os
 import sys
 
-from .core import (
-    FiniteIntegerSet,
-    _set_str,
-    exceptional_profile,
-    normalize,
-    reflect,
-)
+from .core import FiniteIntegerSet, _set_str, normalize
 from .errors import (
     CatalogMismatchError,
     DegenerateSetError,
@@ -41,7 +35,7 @@ from .errors import (
 from .families import appendix_family_threshold, classify_exceptional_family
 from .modular import growth_profile, residues_mod_b, small_doubling_families
 from .scan import ScanConfig, emit_report, render_report, scan_theorems
-from .verifier import all_n_criterion, check_structure, min_threshold
+from .verifier import DEFAULT_WITNESS_CAP, _analyze
 
 __all__ = ["main"]
 
@@ -68,10 +62,10 @@ def _cmd_analyze(args) -> int:
     n_summands = args.N if args.N is not None else max(1, a_set.b - a_set.ell)
     if n_summands < 1:
         raise InvalidSetError(f"N must be at least 1, got {n_summands}")
-    prof = exceptional_profile(a_set)
-    prof_r = exceptional_profile(reflect(a_set))
-    threshold = min_threshold(a_set)
-    report = check_structure(a_set, n_summands, witness_cap=args.witness_cap)
+    analysis = _analyze(a_set)
+    prof, prof_r = analysis.profile, analysis.reflected
+    threshold = analysis.threshold()
+    report = analysis.report(n_summands, args.witness_cap)
 
     if args.json:
         payload = {
@@ -86,7 +80,7 @@ def _cmd_analyze(args) -> int:
             "min_summands": list(prof.min_summands),
             "max_summands": prof.max_summands,
             "min_threshold": threshold,
-            "holds_for_all_n": all_n_criterion(a_set),
+            "holds_for_all_n": analysis.holds_for_all_n(),
             "report": {
                 "n": report.n_summands,
                 "holds": report.holds,
@@ -165,12 +159,13 @@ def _cmd_kneser(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        raw = os.environ.get("SUMSET_JOBS", "1")
-        jobs = int(raw) if raw.strip().isdecimal() else 0
-        if jobs < 1:
-            raise ValueError(f"SUMSET_JOBS must be a positive integer, got {raw!r}")
+    if args.jobs is None:
+        source, raw = "SUMSET_JOBS", os.environ.get("SUMSET_JOBS", "1")
+    else:
+        source, raw = "--jobs", str(args.jobs)
+    jobs = int(raw) if raw.strip().isdecimal() else 0
+    if jobs < 1:
+        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
     config = ScanConfig(
         b_min=2,
         b_max=args.bmax,
@@ -210,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("set", help='comma-separated integers, e.g. "0,3,5"')
     analyze.add_argument("--N", type=int, default=None, help="summand count to check")
     analyze.add_argument("--json", action="store_true", help="machine-readable output")
-    analyze.add_argument("--witness-cap", type=int, default=64, dest="witness_cap")
+    analyze.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
     analyze.set_defaults(handler=_cmd_analyze)
 
     scan = commands.add_parser("scan", help="verify the description exhaustively")

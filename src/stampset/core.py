@@ -232,14 +232,15 @@ class ExceptionalProfile:
     """Per-residue reachability data for a normalized set, plus its gaps.
 
     Index a-1 of the tuples holds the data for residue class a (mod b),
-    a = 1 .. b-1.  ``gaps`` is E(A) in increasing order.  For the trivial
-    set {0, 1} all tuples are empty.
+    a = 1 .. b-1.  ``gap_mask`` holds E(A) (bit n set <=> n is a gap) and
+    ``gaps`` lists it in increasing order.  For the trivial set {0, 1} all
+    tuples are empty and the mask is 0.
     """
 
     modulus: int
     first_reachable: tuple[int, ...]
     min_summands: tuple[int, ...]
-    gaps: tuple[int, ...]
+    gap_mask: int
 
     def _check_residue(self, residue: int) -> None:
         if not 1 <= residue <= self.modulus - 1:
@@ -258,23 +259,28 @@ class ExceptionalProfile:
         return self.min_summands[residue - 1]
 
     @property
+    def gaps(self) -> tuple[int, ...]:
+        """E(A) in increasing order."""
+        return tuple(_iter_bits(self.gap_mask))
+
+    @property
     def max_summands(self) -> int:
         """The largest min_summands entry (0 for the trivial set {0, 1})."""
         return max(self.min_summands, default=0)
 
 
 def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
-    """Compute first_reachable, min_summands and the gap set E(A).
+    """Compute first_reachable, min_summands and the gap mask of E(A).
 
     Works inside [0, (b-1)^2]: a minimal representative of a non-zero class
     never uses the summand b (dropping it would yield a smaller member of
     the same class) and needs at most b-1 summands, each at most b-1, so
-    every first_reachable value fits under that bound.
+    every first_reachable value, and with it every gap, fits under that bound.
     """
     _require_normalized(a_set)
     b = a_set.b
     if b == 1:
-        return ExceptionalProfile(1, (), (), ())
+        return ExceptionalProfile(1, (), (), 0)
     bound = (b - 1) ** 2
     semigroup = _semigroup_mask(a_set.elements, bound)
 
@@ -299,11 +305,8 @@ def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
         if n_summands > bound:
             raise RuntimeError("minimal summand counts did not stabilize")
 
-    gaps: list[int] = []
-    for a in range(1, b):
-        gaps.extend(range(a, first[a - 1], b))
-    gaps.sort()
-    return ExceptionalProfile(b, tuple(first), tuple(summands), tuple(gaps))
+    gap_mask = ((1 << (bound + 1)) - 1) & ~semigroup
+    return ExceptionalProfile(b, tuple(first), tuple(summands), gap_mask)
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def _match_fixed_head(
     subject: FiniteIntegerSet, head: tuple[int, ...], kind: str
 ) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
     b = subject.b
-    if subject.elements != head + tuple(range(6, b + 1)):
+    if b < 6 or subject.elements != head + tuple(range(6, b + 1)):
         return []
     if 5 in n_fold_sumset(subject, 2):
         return []

@@ -44,10 +44,10 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator
 
-from .core import FiniteIntegerSet, _iter_bits, _set_str, exceptional_profile, reflect
+from .core import FiniteIntegerSet, _iter_bits, _set_str
 from .errors import CatalogMismatchError
 from .families import classify_exceptional_family
-from .verifier import DEFAULT_WITNESS_CAP, _failure_scan
+from .verifier import DEFAULT_WITNESS_CAP, _analyze
 
 __all__ = [
     "ScanConfig",
@@ -177,11 +177,10 @@ def _scan_unit(
     for mask, a_set in _walk_sets(b, mask_lo, mask_hi, ell_lo, ell_hi, tally):
         analyzed += 1
         ell = a_set.ell
-        prof = exceptional_profile(a_set)
-        prof_r = exceptional_profile(reflect(a_set))
+        analysis = _analyze(a_set)
         window_lo = max(1, b - ell - delta)
-        window_hi = max(b - ell, prof.max_summands)
-        fails = _failure_scan(a_set, prof, prof_r, window_lo, window_hi, witness_cap)
+        window_hi = analysis.anchor
+        fails = analysis.failures(window_lo, window_hi, witness_cap)
         if delta:
             label_strs = tuple(
                 str(label) for label in classify_exceptional_family(a_set, delta)

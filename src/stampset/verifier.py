@@ -3,7 +3,7 @@
 For a normalized set A (min 0, gcd 1, top element b) the candidate
 description of the N-fold sumset is
 
-    NA == {0, 1, ..., bN}  minus  E(A)  minus  (bN - E(b-A)),
+    D(N) = {0, 1, ..., bN}  minus  E(A)  minus  (bN - E(b-A)),
 
 gaps of A cut away at the bottom, reflected gaps of b-A cut away at the
 top.  Equivalently, per non-zero residue class a mod b the description is
@@ -12,9 +12,14 @@ the arithmetic progression
     first_reachable_A(a) <= n <= bN - first_reachable_{b-A}(b-a),
     n = a (mod b),
 
-together with all multiples of b in [0, bN].  The left-hand side NA is
-always contained in the description; the question is for which N the two
-agree.  Facts this module relies on and re-derives per call:
+together with all multiples of b in [0, bN].  NA is always contained in
+the description; the question is for which N the two agree.
+
+Every entry point reads one per-set analysis: the profiles of A and b-A,
+computed once each, hold both gap sets as bitmasks.  The mask of E(b-A)
+is bit-reversed once, so one shift places each gap g at bN - g, and D(N)
+is [0, bN] with both masks cleared: a few big-integer operations per N.
+Facts this module relies on:
 
   * the description holds for every N >= b - ell (ell = interior count);
   * if it holds at an anchor N0 at least as large as every per-class
@@ -54,47 +59,6 @@ __all__ = [
 DEFAULT_WITNESS_CAP = 64
 
 
-def _spaced_ones(count: int, spacing: int) -> int:
-    """Bitmask with ``count`` ones at positions 0, spacing, 2*spacing, ..."""
-    if count <= 0:
-        return 0
-    return ((1 << (spacing * count)) - 1) // ((1 << spacing) - 1)
-
-
-def _description_mask(
-    prof: ExceptionalProfile, prof_reflected: ExceptionalProfile, n_summands: int
-) -> int:
-    """The candidate description of NA as a bitmask over [0, b*N]."""
-    b = prof.modulus
-    top = b * n_summands
-    mask = _spaced_ones(n_summands + 1, b)  # multiples of b are always sums
-    first = prof.first_reachable
-    first_r = prof_reflected.first_reachable
-    for a in range(1, b):
-        lo = first[a - 1]
-        hi = top - first_r[b - a - 1]
-        if lo <= hi:
-            mask |= _spaced_ones((hi - lo) // b + 1, b) << lo
-    return mask
-
-
-def _checked_description(
-    a_set: FiniteIntegerSet,
-    prof: ExceptionalProfile,
-    prof_r: ExceptionalProfile,
-    sumset: int,
-    n_summands: int,
-) -> int:
-    """The description mask at N, after the containment check of check_structure."""
-    description = _description_mask(prof, prof_r, n_summands)
-    if sumset & ~description:
-        raise RuntimeError(
-            f"sumset escapes its description for {a_set} at N={n_summands}; "
-            "this contradicts a theorem and indicates a bug"
-        )
-    return description
-
-
 def _witnesses(diff: int, cap: int) -> tuple[int, ...]:
     return tuple(islice(_iter_bits(diff), cap))
 
@@ -118,6 +82,107 @@ class StructureReport:
     witness_cap: int
 
 
+@dataclass(frozen=True)
+class _Analysis:
+    """The profiles of A and b-A, and everything the entry points read off them.
+
+    ``mirrored`` is the gap mask of b-A reversed over [0, mirror_width],
+    where mirror_width is its largest gap (-1 without gaps): gap g sits at
+    bit mirror_width - g, so a shift by bN - mirror_width moves it to bN - g.
+    """
+
+    a_set: FiniteIntegerSet
+    profile: ExceptionalProfile
+    reflected: ExceptionalProfile
+    mirrored: int
+    mirror_width: int
+
+    @property
+    def anchor(self) -> int:
+        """max(b - ell, max_summands): holding there means holding for all larger N."""
+        return max(self.a_set.b - self.a_set.ell, self.profile.max_summands)
+
+    def description(self, n_summands: int, sumset: int) -> int:
+        """D(N) over [0, bN], after checking that NA (``sumset``) lies inside it."""
+        top = self.a_set.b * n_summands
+        shift = top - self.mirror_width
+        mirrored = self.mirrored << shift if shift >= 0 else self.mirrored >> -shift
+        description = ((1 << (top + 1)) - 1) & ~(self.profile.gap_mask | mirrored)
+        if sumset & ~description:
+            raise RuntimeError(
+                f"sumset escapes its description for {self.a_set} at N={n_summands}; "
+                "this contradicts a theorem and indicates a bug"
+            )
+        return description
+
+    def report(self, n_summands: int, witness_cap: int) -> StructureReport:
+        """NA against D(N) at one N."""
+        if witness_cap < 1:
+            raise ValueError("witness_cap must be at least 1")
+        sumset = n_fold_sumset(self.a_set, n_summands).bits
+        description = self.description(n_summands, sumset)
+        diff = description & ~sumset
+        return StructureReport(
+            subject=self.a_set,
+            n_summands=n_summands,
+            holds=diff == 0,
+            missing_witnesses=_witnesses(diff, witness_cap),
+            missing_count=diff.bit_count(),
+            rhs_size=description.bit_count(),
+            witness_cap=witness_cap,
+        )
+
+    def failures(
+        self, n_lo: int, n_hi: int, witness_cap: int
+    ) -> list[tuple[int, tuple[int, ...], int]]:
+        """All N in [n_lo, n_hi] where the description is strict, with witnesses.
+
+        Shares one incremental sumset mask across the whole range, so the scan
+        costs O(n_hi * |A|) shift-ors total.
+        """
+        failures = []
+        layers = islice(_iter_nfold(self.a_set.elements), n_lo - 1, n_hi)
+        for n_summands, sumset in enumerate(layers, start=n_lo):
+            diff = self.description(n_summands, sumset) & ~sumset
+            if diff:
+                failures.append(
+                    (n_summands, _witnesses(diff, witness_cap), diff.bit_count())
+                )
+        return failures
+
+    def threshold(self) -> int:
+        """The least N0 >= 1 from which the description holds, scanning up to the anchor."""
+        upper = self.anchor
+        failures = self.failures(1, upper, witness_cap=1)
+        if not failures:
+            return 1
+        last_bad = failures[-1][0]
+        if last_bad >= upper:
+            raise RuntimeError(
+                f"description fails at the anchor N={upper} for {self.a_set}; "
+                "this contradicts the threshold theorem and indicates a bug"
+            )
+        return last_bad + 1
+
+    def holds_for_all_n(self) -> bool:
+        """first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a) for every class a."""
+        b, prof, prof_r = self.a_set.b, self.profile, self.reflected
+        for a in range(1, b):
+            lhs = prof.first_reachable[a - 1] + prof_r.first_reachable[b - a - 1]
+            if lhs != b * prof.min_summands[a - 1]:
+                return False
+        return True
+
+
+def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
+    """Profile A, then b - A (so unnormalized input is reported as A), once each."""
+    profile = exceptional_profile(a_set)
+    reflected = exceptional_profile(reflect(a_set))
+    gaps_r = reflected.gap_mask
+    mirrored = int(bin(gaps_r)[:1:-1], 2)  # bin() lists bits high to low
+    return _Analysis(a_set, profile, reflected, mirrored, gaps_r.bit_length() - 1)
+
+
 def check_structure(
     a_set: FiniteIntegerSet, n_summands: int, witness_cap: int = DEFAULT_WITNESS_CAP
 ) -> StructureReport:
@@ -127,51 +192,7 @@ def check_structure(
     failed the computation itself is wrong, so that direction raises
     RuntimeError instead of being reported.
     """
-    _require_normalized(a_set)
-    if witness_cap < 1:
-        raise ValueError("witness_cap must be at least 1")
-    sumset = n_fold_sumset(a_set, n_summands).bits
-    prof = exceptional_profile(a_set)
-    prof_r = exceptional_profile(reflect(a_set))
-    description = _checked_description(a_set, prof, prof_r, sumset, n_summands)
-    diff = description & ~sumset
-    return StructureReport(
-        subject=a_set,
-        n_summands=n_summands,
-        holds=diff == 0,
-        missing_witnesses=_witnesses(diff, witness_cap),
-        missing_count=diff.bit_count(),
-        rhs_size=description.bit_count(),
-        witness_cap=witness_cap,
-    )
-
-
-def _failure_scan(
-    a_set: FiniteIntegerSet,
-    prof: ExceptionalProfile,
-    prof_r: ExceptionalProfile,
-    n_lo: int,
-    n_hi: int,
-    witness_cap: int,
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """All N in [n_lo, n_hi] where the description is strict, with witnesses.
-
-    Shares one incremental sumset mask across the whole range, so the scan
-    costs O(n_hi * |A|) shift-ors total.
-    """
-    failures: list[tuple[int, tuple[int, ...], int]] = []
-    steps = _iter_nfold(a_set.elements)
-    for n_summands in range(1, n_hi + 1):
-        sumset = next(steps)
-        if n_summands < n_lo:
-            continue
-        description = _checked_description(a_set, prof, prof_r, sumset, n_summands)
-        diff = description & ~sumset
-        if diff:
-            failures.append(
-                (n_summands, _witnesses(diff, witness_cap), diff.bit_count())
-            )
-    return failures
+    return _analyze(a_set).report(n_summands, witness_cap)
 
 
 def min_threshold(a_set: FiniteIntegerSet) -> int:
@@ -182,20 +203,7 @@ def min_threshold(a_set: FiniteIntegerSet) -> int:
     (which dominates every per-class minimal summand count) propagates to
     all larger N, so the scan range is sufficient.
     """
-    _require_normalized(a_set)
-    prof = exceptional_profile(a_set)
-    prof_r = exceptional_profile(reflect(a_set))
-    upper = max(a_set.b - a_set.ell, prof.max_summands)
-    failures = _failure_scan(a_set, prof, prof_r, 1, upper, witness_cap=1)
-    if not failures:
-        return 1
-    last_bad = failures[-1][0]
-    if last_bad >= upper:
-        raise RuntimeError(
-            f"description fails at the anchor N={upper} for {a_set}; "
-            "this contradicts the threshold theorem and indicates a bug"
-        )
-    return last_bad + 1
+    return _analyze(a_set).threshold()
 
 
 def all_n_criterion(a_set: FiniteIntegerSet) -> bool:
@@ -205,15 +213,7 @@ def all_n_criterion(a_set: FiniteIntegerSet) -> bool:
     least class-(b-a) member of P(b-A) sit at opposite ends of a common
     sumset layer: first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a).
     """
-    _require_normalized(a_set)
-    prof = exceptional_profile(a_set)
-    prof_r = exceptional_profile(reflect(a_set))
-    b = a_set.b
-    for a in range(1, b):
-        lhs = prof.first_reachable[a - 1] + prof_r.first_reachable[b - a - 1]
-        if lhs != b * prof.min_summands[a - 1]:
-            return False
-    return True
+    return _analyze(a_set).holds_for_all_n()
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,10 @@ def test_scan_respects_jobs_env(capsys, monkeypatch):
         assert code == 2
         assert "SUMSET_JOBS" in err
 
+    code, _, err = run_cli(capsys, "scan", "--bmax", "3", "--jobs", "0")
+    assert code == 2
+    assert "--jobs must be a positive integer" in err
+
 
 def test_scan_rejects_bad_bmax(capsys):
     assert run_cli(capsys, "scan", "--bmax", "1")[0] == 2

@@ -61,6 +61,9 @@ def test_generic_sets_get_no_label():
     assert classify_exceptional_family(fis(0, 3, 5), 1) == ()
     assert classify_exceptional_family(fis(0, 3, 5), 2) == ()
     assert classify_exceptional_family(fis(*range(9)), 2) == ()
+    # the G3 and G4 heads need b >= 6: their printed shapes contain 6
+    assert classify_exceptional_family(fis(0, 1, 2), 2) == ()
+    assert classify_exceptional_family(fis(0, 1, 3), 2) == ()
 
 
 def test_delta_two_catalog_examples():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 
 import pytest
@@ -225,3 +226,22 @@ def test_emit_report_failed_write_keeps_existing_report(tmp_path, monkeypatch):
         emit_report(result, "json", str(destination))
     assert destination.read_text(encoding="utf-8") == "previous report\n"
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize(
+    "delta, digest",
+    [
+        (0, "edabd4cf950aa1e527be158878e957cae5ddf608d65b8f7cfc128ca3b62d72fd"),
+        (1, "11c7bb466f980160dd40fdaa9759557c36375aa44100be4d370659cab6830166"),
+        (2, "b6fde917f305fd58391954541062f5f00fce659b3f868dcbb2a380ca909dbf07"),
+    ],
+)
+def test_report_bytes_are_pinned(delta, digest):
+    # the delta-2 scan raises on the known catalog gap; its report is the
+    # result attached to the error
+    try:
+        result = scan_theorems(ScanConfig(2, 12, delta=delta))
+    except CatalogMismatchError as err:
+        assert delta == 2
+        result = err.result
+    assert hashlib.sha256(render_report(result).encode()).hexdigest() == digest

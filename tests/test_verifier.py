@@ -1,12 +1,15 @@
 from __future__ import annotations
 
-from itertools import combinations
+from dataclasses import replace
+from functools import cache
+from itertools import combinations, islice
 
 import pytest
 
 from stampset import FiniteIntegerSet, InvalidSetError, n_fold_sumset, reflect
 from stampset.errors import InvalidResidueError
 from stampset.verifier import (
+    _analyze,
     all_n_criterion,
     check_structure,
     min_threshold,
@@ -20,21 +23,27 @@ def fis(*values: int) -> FiniteIntegerSet:
     return FiniteIntegerSet(tuple(values))
 
 
-def every_normalized(b_max, ell_min=0):
+def every_normalized(b_max, ell_min=0, ell_max=None):
     for b in range(2, b_max + 1):
-        for r in range(b):
+        for r in range(b if ell_max is None else min(b, ell_max + 1)):
             for interior in combinations(range(1, b), r):
                 a = FiniteIntegerSet((0, *interior, b))
                 if a.is_normalized and a.ell >= ell_min:
                     yield a
 
 
+@cache
+def brute_first_reachable(elements):
+    """first_reachable of A and of b - A, from brute-force profiles."""
+    b = max(elements)
+    reflected = tuple(sorted(b - x for x in elements))
+    return brute_profile(elements)[0], brute_profile(reflected)[0]
+
+
 def brute_description(elements, n_summands):
     """Oracle for the interval description, from brute-force profiles."""
     b = max(elements)
-    reflected = tuple(sorted(b - x for x in elements))
-    first, _, _ = brute_profile(elements)
-    first_r, _, _ = brute_profile(reflected)
+    first, first_r = brute_first_reachable(elements)
     top = b * n_summands
     keep = {n for n in range(0, top + 1, b)}
     for a in range(1, b):
@@ -72,13 +81,39 @@ def test_check_structure_witness_cap():
 
 
 def test_check_structure_matches_oracle_exhaustively():
-    for a in every_normalized(7):
-        for n_summands in range(1, a.b - a.ell + 3):
-            report = check_structure(a, n_summands)
-            expected = brute_description(a.elements, n_summands)
-            got_sumset = brute_nfold(a.elements, n_summands)
-            assert report.holds == (expected == got_sumset), (a, n_summands)
-            assert set(report.missing_witnesses) <= expected - got_sumset
+    cases = [
+        (a, n_summands)
+        for a in every_normalized(7)
+        for n_summands in range(1, a.b - a.ell + 3)
+    ]
+    # Sparse sets up to b = 30: at N = 1 the largest gap of b - A usually
+    # lies above bN, at N = b - ell below it, so the reflected gap mask is
+    # placed by shifts in both directions.
+    cases += [
+        (a, n_summands)
+        for a in islice(every_normalized(30, ell_max=2), 0, None, 37)
+        for n_summands in (1, 2, a.b - a.ell)
+    ]
+    for a, n_summands in cases:
+        report = check_structure(a, n_summands)
+        expected = brute_description(a.elements, n_summands)
+        got_sumset = brute_nfold(a.elements, n_summands)
+        assert report.holds == (expected == got_sumset), (a, n_summands)
+        assert report.rhs_size == len(expected), (a, n_summands)
+        assert report.missing_count == len(expected - got_sumset), (a, n_summands)
+        assert set(report.missing_witnesses) <= expected - got_sumset
+
+
+def test_theorem_checks_raise_on_a_corrupted_profile():
+    analysis = _analyze(fis(0, 3, 5))
+    # 3 is a sum, so marking it a gap makes NA escape the description
+    escaping = replace(analysis, profile=replace(analysis.profile, gap_mask=1 << 3))
+    with pytest.raises(RuntimeError, match="sumset escapes its description"):
+        escaping.report(2, 1)
+    # 1 is a gap; without it the description is strict at every N
+    gapless = replace(analysis, profile=replace(analysis.profile, gap_mask=0))
+    with pytest.raises(RuntimeError, match="description fails at the anchor N=4"):
+        gapless.threshold()
 
 
 def test_witnesses_are_valid():
