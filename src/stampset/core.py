@@ -36,7 +36,7 @@ partial sum at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -260,8 +260,10 @@ class ExceptionalProfile:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """E(A) in increasing order."""
-        return tuple(_iter_bits(self.gap_mask))
+        """E(A) in increasing order: class a's gaps are a, a+b, ... below first_reachable."""
+        b = self.modulus
+        runs = (range(a, f, b) for a, f in enumerate(self.first_reachable, 1))
+        return tuple(sorted(chain.from_iterable(runs)))
 
     @property
     def max_summands(self) -> int:
@@ -284,23 +286,29 @@ def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     bound = (b - 1) ** 2
     semigroup = _semigroup_mask(a_set.elements, bound)
 
+    # P(A) is closed under adding b: walk it in windows of b bits.  A class's
+    # bit that is new in a window marks its first member; together they are F.
+    full, seen, pending = (1 << b) - 1, 1, 0  # class 0 holds 0
+    for start in range(0, bound + 1, b):
+        window = (semigroup >> start) & full
+        pending |= (window & ~seen) << start
+        seen |= window
+        if seen == full:
+            break
+    else:  # impossible for a normalized set; guard against bugs
+        raise RuntimeError(f"some class mod {b} has no member below {bound}")
     first = [0] * (b - 1)
-    for a in range(1, b):
-        n = a
-        while n <= bound and not (semigroup >> n) & 1:
-            n += b
-        if n > bound:  # impossible for a normalized set; guard against bugs
-            raise RuntimeError(f"no member of class {a} mod {b} below {bound}")
-        first[a - 1] = n
+    for n in _iter_bits(pending):
+        first[n % b - 1] = n
 
     summands = [0] * (b - 1)
-    remaining = set(range(1, b))
     for n_summands, mask in enumerate(_iter_nfold(a_set.elements, bound), start=1):
-        for a in tuple(remaining):
-            if (mask >> first[a - 1]) & 1:
-                summands[a - 1] = n_summands
-                remaining.discard(a)
-        if not remaining:
+        reached = mask & pending
+        if reached:
+            for n in _iter_bits(reached):
+                summands[n % b - 1] = n_summands
+            pending ^= reached
+        if not pending:
             break
         if n_summands > bound:
             raise RuntimeError("minimal summand counts did not stabilize")

@@ -247,20 +247,12 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     target = prof.first_reachable_in(residue) + (k - 1) * b
     kb_size = growth_profile(residues_mod_b(a_set)).size_of(k)
     n_summands = max(1, 2 * k + b - kb_size - 1)
-    if kb_size < b - prof.min_summands_for(residue):
-        return PlacementCheck(
-            holds=True,
-            hypothesis_met=False,
-            target=target,
-            n_summands=n_summands,
-            kb_size=kb_size,
-        )
-    layers = _iter_nfold(a_set.elements, bit_limit=target)
-    mask = next(islice(layers, n_summands - 1, None))
+    hypothesis_met = kb_size >= b - prof.min_summands_for(residue)
+    holds = True  # vacuously, unless the hypothesis is met
+    if hypothesis_met:
+        layers = _iter_nfold(a_set.elements, bit_limit=target)
+        holds = (next(islice(layers, n_summands - 1, None)) >> target) & 1 == 1
     return PlacementCheck(
-        holds=(mask >> target) & 1 == 1,
-        hypothesis_met=True,
-        target=target,
-        n_summands=n_summands,
-        kb_size=kb_size,
+        holds=holds, hypothesis_met=hypothesis_met, target=target,
+        n_summands=n_summands, kb_size=kb_size,
     )

@@ -148,17 +148,28 @@ def test_profile_rejects_unnormalized():
 def test_profile_matches_oracle_small_sets():
     from itertools import combinations
 
-    for b in range(2, 9):
-        for r in range(b):
-            for interior in combinations(range(1, b), r):
-                a = FiniteIntegerSet((0, *interior, b))
-                if not a.is_normalized:
-                    continue
-                prof = exceptional_profile(a)
-                first, summands, gaps = brute_profile(a.elements)
-                assert prof.first_reachable == first, a
-                assert prof.min_summands == summands, a
-                assert prof.gaps == gaps, a
+    every_small = [
+        (0, *interior, b)
+        for b in range(2, 9)
+        for r in range(b)
+        for interior in combinations(range(1, b), r)
+    ]
+    # few elements and a larger b: long runs of gaps in a class, and
+    # minimal summand counts up to b - 1
+    sparse = [
+        (0, 1, 29), (0, 28, 29), (0, 11, 29), (0, 6, 9, 29),
+        (0, 2, 37, 40), (0, 13, 27, 40), (0, 5, 12, 15, 40),
+    ]
+    for elements in every_small + sparse:
+        a = FiniteIntegerSet(elements)
+        if not a.is_normalized:
+            continue
+        prof = exceptional_profile(a)
+        first, summands, gaps = brute_profile(a.elements)
+        assert prof.first_reachable == first, a
+        assert prof.min_summands == summands, a
+        assert prof.gaps == gaps, a
+        assert prof.gap_mask == sum(1 << g for g in gaps), a
 
 
 def test_represent_frozen_examples():
