@@ -21,6 +21,7 @@ input, 3 a scan contradicted the expected catalogs, 4 report I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,9 +64,8 @@ def _cmd_analyze(args) -> int:
     if n_summands < 1:
         raise InvalidSetError(f"N must be at least 1, got {n_summands}")
     analysis = _analyze(a_set)
-    prof, prof_r = analysis.profile, analysis.reflected
-    threshold = analysis.threshold()
-    report = analysis.report(n_summands, args.witness_cap)
+    prof, gaps_r = analysis.profile, analysis.reflected_gaps
+    threshold, report = analysis.threshold_and_report(n_summands, args.witness_cap)
 
     if args.json:
         payload = {
@@ -75,7 +75,7 @@ def _cmd_analyze(args) -> int:
             "b": a_set.b,
             "ell": a_set.ell,
             "gaps": list(prof.gaps),
-            "reflected_gaps": list(prof_r.gaps),
+            "reflected_gaps": list(gaps_r),
             "first_reachable": list(prof.first_reachable),
             "min_summands": list(prof.min_summands),
             "max_summands": prof.max_summands,
@@ -96,7 +96,7 @@ def _cmd_analyze(args) -> int:
     _print_notice(out, a_set, g, tau)
     out.write(f"set {a_set}  b={a_set.b}  ell={a_set.ell}\n")
     out.write(f"E(A)   = {_set_str(prof.gaps)}\n")
-    out.write(f"E(b-A) = {_set_str(prof_r.gaps)}\n")
+    out.write(f"E(b-A) = {_set_str(gaps_r)}\n")
     for a in range(1, a_set.b):
         out.write(
             f"class {a}: first reachable {prof.first_reachable_in(a)} "
@@ -192,7 +192,9 @@ def _cmd_scan(args) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="stampset",
         description="structure of N-fold sumsets of finite integer sets",

@@ -227,6 +227,64 @@ def _semigroup_mask(elements: tuple[int, ...], bound: int) -> int:
     return mask
 
 
+def _gap_list(modulus: int, first_reachable: tuple[int, ...]) -> tuple[int, ...]:
+    """E(A) in increasing order, from the first member of every class."""
+    runs = (range(a, f, modulus) for a, f in enumerate(first_reachable, 1))
+    return tuple(sorted(chain.from_iterable(runs)))
+
+
+def _first_members(elements: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """The first step of a profile: first_reachable, F and the gap mask of E(A).
+
+    ``elements`` are those of a normalized set A; F is the first members
+    as one bitmask.  P(A) is closed under adding b, so its mask is walked
+    in windows of b bits: a class's bit that is new in a window marks its
+    first member.
+    """
+    b = elements[-1]
+    if b == 1:
+        return (), 0, 0
+    bound = (b - 1) ** 2
+    semigroup = _semigroup_mask(elements, bound)
+    full, seen, first_mask = (1 << b) - 1, 1, 0  # class 0 holds 0
+    for start in range(0, bound + 1, b):
+        window = (semigroup >> start) & full
+        first_mask |= (window & ~seen) << start
+        seen |= window
+        if seen == full:
+            break
+    else:  # impossible for a normalized set; guard against bugs
+        raise RuntimeError(f"some class mod {b} has no member below {bound}")
+    first = [0] * (b - 1)
+    for n in _iter_bits(first_mask):
+        first[n % b - 1] = n
+    gap_mask = ((1 << (bound + 1)) - 1) & ~semigroup
+    return tuple(first), first_mask, gap_mask
+
+
+def _min_summands(elements: tuple[int, ...], first_mask: int) -> tuple[int, ...]:
+    """The second step of a profile: the layer NA in which each first member appears.
+
+    Clears F layer by layer; layers are cut at the largest first member,
+    which leaves membership below it exact.
+    """
+    b = elements[-1]
+    summands = [0] * (b - 1)
+    pending = first_mask
+    limit = pending.bit_length() - 1
+    for n_summands, mask in enumerate(_iter_nfold(elements, limit), start=1):
+        reached = mask & pending
+        if reached:
+            for n in _iter_bits(reached):
+                summands[n % b - 1] = n_summands
+            pending ^= reached
+        if not pending:
+            break
+        if n_summands > limit:
+            raise RuntimeError("minimal summand counts did not stabilize")
+    return tuple(summands)
+
+
 @dataclass(frozen=True)
 class ExceptionalProfile:
     """Per-residue reachability data for a normalized set, plus its gaps.
@@ -261,9 +319,7 @@ class ExceptionalProfile:
     @property
     def gaps(self) -> tuple[int, ...]:
         """E(A) in increasing order: class a's gaps are a, a+b, ... below first_reachable."""
-        b = self.modulus
-        runs = (range(a, f, b) for a, f in enumerate(self.first_reachable, 1))
-        return tuple(sorted(chain.from_iterable(runs)))
+        return _gap_list(self.modulus, self.first_reachable)
 
     @property
     def max_summands(self) -> int:
@@ -274,47 +330,19 @@ class ExceptionalProfile:
 def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     """Compute first_reachable, min_summands and the gap mask of E(A).
 
-    Works inside [0, (b-1)^2]: a minimal representative of a non-zero class
-    never uses the summand b (dropping it would yield a smaller member of
-    the same class) and needs at most b-1 summands, each at most b-1, so
-    every first_reachable value, and with it every gap, fits under that bound.
+    Two steps: ``_first_members`` reads the first member of every class and
+    the gap mask off the semigroup mask, and ``_min_summands`` walks the
+    layers NA until each first member has appeared.  Both work inside
+    [0, (b-1)^2]: a minimal representative of a non-zero class never uses
+    the summand b (dropping it would yield a smaller member of the same
+    class) and needs at most b-1 summands, each at most b-1, so every
+    first_reachable value, and with it every gap, fits under that bound.
     """
     _require_normalized(a_set)
-    b = a_set.b
-    if b == 1:
-        return ExceptionalProfile(1, (), (), 0)
-    bound = (b - 1) ** 2
-    semigroup = _semigroup_mask(a_set.elements, bound)
-
-    # P(A) is closed under adding b: walk it in windows of b bits.  A class's
-    # bit that is new in a window marks its first member; together they are F.
-    full, seen, pending = (1 << b) - 1, 1, 0  # class 0 holds 0
-    for start in range(0, bound + 1, b):
-        window = (semigroup >> start) & full
-        pending |= (window & ~seen) << start
-        seen |= window
-        if seen == full:
-            break
-    else:  # impossible for a normalized set; guard against bugs
-        raise RuntimeError(f"some class mod {b} has no member below {bound}")
-    first = [0] * (b - 1)
-    for n in _iter_bits(pending):
-        first[n % b - 1] = n
-
-    summands = [0] * (b - 1)
-    for n_summands, mask in enumerate(_iter_nfold(a_set.elements, bound), start=1):
-        reached = mask & pending
-        if reached:
-            for n in _iter_bits(reached):
-                summands[n % b - 1] = n_summands
-            pending ^= reached
-        if not pending:
-            break
-        if n_summands > bound:
-            raise RuntimeError("minimal summand counts did not stabilize")
-
-    gap_mask = ((1 << (bound + 1)) - 1) & ~semigroup
-    return ExceptionalProfile(b, tuple(first), tuple(summands), gap_mask)
+    elements = a_set.elements
+    first, first_mask, gap_mask = _first_members(elements)
+    summands = _min_summands(elements, first_mask)
+    return ExceptionalProfile(elements[-1], first, summands, gap_mask)
 
 
 @dataclass(frozen=True)

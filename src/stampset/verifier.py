@@ -15,11 +15,13 @@ the arithmetic progression
 together with all multiples of b in [0, bN].  NA is always contained in
 the description; the question is for which N the two agree.
 
-Every entry point reads one per-set analysis: the profiles of A and b-A,
-computed once each, hold both gap sets as bitmasks.  The mask of E(b-A)
-is bit-reversed once, so one shift places each gap g at bN - g, and D(N)
-is [0, bN] with both masks cleared: a few big-integer operations per N.
-Facts this module relies on:
+Every entry point reads one per-set analysis: the full profile of A and,
+for b-A, only its first members and gap mask (its summand counts are
+never read).  The mask of E(b-A) is bit-reversed once, so one shift
+places each gap g at bN - g, and D(N) is [0, bN] with both masks
+cleared: a few big-integer operations per N.  One walk over the layers
+NA gives both the threshold and the report at a requested N, so
+``analyze`` builds each layer once.  Facts this module relies on:
 
   * the description holds for every N >= b - ell (ell = interior count);
   * if it holds at an anchor N0 at least as large as every per-class
@@ -32,16 +34,18 @@ Facts this module relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .core import (
     ExceptionalProfile,
     FiniteIntegerSet,
+    _first_members,
+    _gap_list,
     _iter_bits,
     _iter_nfold,
     _require_normalized,
     exceptional_profile,
-    n_fold_sumset,
     reflect,
 )
 from .modular import growth_profile, residues_mod_b
@@ -84,7 +88,7 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """The profiles of A and b-A, and everything the entry points read off them.
+    """The profile of A, the first members of b-A, and what entry points read off them.
 
     ``mirrored`` is the gap mask of b-A reversed over [0, mirror_width],
     where mirror_width is its largest gap (-1 without gaps): gap g sits at
@@ -93,7 +97,7 @@ class _Analysis:
 
     a_set: FiniteIntegerSet
     profile: ExceptionalProfile
-    reflected: ExceptionalProfile
+    reflected_first: tuple[int, ...]
     mirrored: int
     mirror_width: int
 
@@ -101,6 +105,11 @@ class _Analysis:
     def anchor(self) -> int:
         """max(b - ell, max_summands): holding there means holding for all larger N."""
         return max(self.a_set.b - self.a_set.ell, self.profile.max_summands)
+
+    @property
+    def reflected_gaps(self) -> tuple[int, ...]:
+        """E(b-A) in increasing order."""
+        return _gap_list(self.a_set.b, self.reflected_first)
 
     def description(self, n_summands: int, sumset: int) -> int:
         """D(N) over [0, bN], after checking that NA (``sumset``) lies inside it."""
@@ -115,13 +124,22 @@ class _Analysis:
             )
         return description
 
-    def report(self, n_summands: int, witness_cap: int) -> StructureReport:
-        """NA against D(N) at one N."""
-        if witness_cap < 1:
-            raise ValueError("witness_cap must be at least 1")
-        sumset = n_fold_sumset(self.a_set, n_summands).bits
-        description = self.description(n_summands, sumset)
-        diff = description & ~sumset
+    def _walk(self, wanted: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+        """(N, D(N), D(N) minus NA) for each N of the increasing ``wanted``.
+
+        One pass over the layers NA from N = 1: every layer is built once,
+        and only the wanted ones are described.
+        """
+        layers, built = _iter_nfold(self.a_set.elements), 0
+        for n_summands in wanted:
+            sumset = next(islice(layers, n_summands - built - 1, None))
+            built = n_summands
+            description = self.description(n_summands, sumset)
+            yield n_summands, description, description & ~sumset
+
+    def _report(
+        self, n_summands: int, description: int, diff: int, witness_cap: int
+    ) -> StructureReport:
         return StructureReport(
             subject=self.a_set,
             n_summands=n_summands,
@@ -132,55 +150,77 @@ class _Analysis:
             witness_cap=witness_cap,
         )
 
+    def report(self, n_summands: int, witness_cap: int) -> StructureReport:
+        """NA against D(N) at one N."""
+        _check_request(n_summands, witness_cap)
+        (layer,) = self._walk((n_summands,))
+        return self._report(*layer, witness_cap)
+
     def failures(
         self, n_lo: int, n_hi: int, witness_cap: int
     ) -> list[tuple[int, tuple[int, ...], int]]:
-        """All N in [n_lo, n_hi] where the description is strict, with witnesses.
+        """All N in [n_lo, n_hi] where the description is strict, with witnesses."""
+        return [
+            (n_summands, _witnesses(diff, witness_cap), diff.bit_count())
+            for n_summands, _, diff in self._walk(range(n_lo, n_hi + 1))
+            if diff
+        ]
 
-        Shares one incremental sumset mask across the whole range, so the scan
-        costs O(n_hi * |A|) shift-ors total.
+    def threshold_and_report(
+        self, n_summands: int | None = None, witness_cap: int = DEFAULT_WITNESS_CAP
+    ) -> tuple[int, StructureReport | None]:
+        """The least N0 >= 1 from which the description holds, and the report at N.
+
+        One walk describes every layer up to the anchor; past the anchor
+        it only builds layers, up to N.  Without N the report is None.
         """
-        failures = []
-        layers = islice(_iter_nfold(self.a_set.elements), n_lo - 1, n_hi)
-        for n_summands, sumset in enumerate(layers, start=n_lo):
-            diff = self.description(n_summands, sumset) & ~sumset
-            if diff:
-                failures.append(
-                    (n_summands, _witnesses(diff, witness_cap), diff.bit_count())
-                )
-        return failures
-
-    def threshold(self) -> int:
-        """The least N0 >= 1 from which the description holds, scanning up to the anchor."""
         upper = self.anchor
-        failures = self.failures(1, upper, witness_cap=1)
-        if not failures:
-            return 1
-        last_bad = failures[-1][0]
+        wanted: Iterable[int] = range(1, upper + 1)
+        if n_summands is not None:
+            _check_request(n_summands, witness_cap)
+            if n_summands > upper:
+                wanted = chain(wanted, (n_summands,))
+        last_bad, report = 0, None
+        for layer in self._walk(wanted):
+            n, _, diff = layer
+            if diff and n <= upper:
+                last_bad = n
+            if n == n_summands:
+                report = self._report(*layer, witness_cap)
         if last_bad >= upper:
             raise RuntimeError(
                 f"description fails at the anchor N={upper} for {self.a_set}; "
                 "this contradicts the threshold theorem and indicates a bug"
             )
-        return last_bad + 1
+        return last_bad + 1, report
+
+    def threshold(self) -> int:
+        """The least N0 >= 1 from which the description holds, scanning up to the anchor."""
+        return self.threshold_and_report()[0]
 
     def holds_for_all_n(self) -> bool:
         """first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a) for every class a."""
-        b, prof, prof_r = self.a_set.b, self.profile, self.reflected
+        b, prof, first_r = self.a_set.b, self.profile, self.reflected_first
         for a in range(1, b):
-            lhs = prof.first_reachable[a - 1] + prof_r.first_reachable[b - a - 1]
+            lhs = prof.first_reachable[a - 1] + first_r[b - a - 1]
             if lhs != b * prof.min_summands[a - 1]:
                 return False
         return True
 
 
+def _check_request(n_summands: int, witness_cap: int) -> None:
+    if witness_cap < 1:
+        raise ValueError("witness_cap must be at least 1")
+    if n_summands < 1:
+        raise ValueError(f"number of summands must be >= 1, got {n_summands}")
+
+
 def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
-    """Profile A, then b - A (so unnormalized input is reported as A), once each."""
+    """Profile A (so unnormalized input names A), then find b - A's first members."""
     profile = exceptional_profile(a_set)
-    reflected = exceptional_profile(reflect(a_set))
-    gaps_r = reflected.gap_mask
+    first_r, _, gaps_r = _first_members(reflect(a_set).elements)
     mirrored = int(bin(gaps_r)[:1:-1], 2)  # bin() lists bits high to low
-    return _Analysis(a_set, profile, reflected, mirrored, gaps_r.bit_length() - 1)
+    return _Analysis(a_set, profile, first_r, mirrored, gaps_r.bit_length() - 1)
 
 
 def check_structure(

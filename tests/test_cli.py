@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from itertools import chain, combinations, islice
 
 import pytest
 
-from stampset.cli import main
+from stampset import FiniteIntegerSet, exceptional_profile
+from stampset.cli import _build_parser, main
+from stampset.scan import enumerate_sets
+from stampset.verifier import check_structure, min_threshold
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,47 @@ def test_analyze_json_round_trip(capsys):
         "report",
     ):
         assert first[key] == second[key], key
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys):
+    first = run_cli(capsys, "analyze", "0,1,5,6", "--json")
+    assert first[0] == 0
+    assert run_cli(capsys, "analyze", "0,x,5", "--N", "3", "--witness-cap", "1")[0] == 2
+    code, out, _ = run_cli(capsys, "scan", "--bmax", "5")
+    assert code == 0
+    json.loads(out)
+    assert run_cli(capsys, "analyze", "0,1,5,6", "--json") == first
+    assert _build_parser() is _build_parser()
+
+
+def test_analyze_report_matches_check_structure(capsys):
+    # every set with b <= 8, and every 37th set with ell <= 2 and b <= 40
+    small = chain.from_iterable(enumerate_sets(b) for b in range(2, 9))
+    sparse = (
+        FiniteIntegerSet((0, *interior, b))
+        for b in range(9, 41)
+        for r in range(3)
+        for interior in combinations(range(1, b), r)
+    )
+    sparse = islice((a for a in sparse if a.is_normalized), 0, None, 37)
+    for a_set in chain(small, sparse):
+        literal = ",".join(map(str, a_set.elements))
+        threshold = min_threshold(a_set)
+        guaranteed = a_set.b - a_set.ell
+        anchor = max(guaranteed, exceptional_profile(a_set).max_summands)
+        for n in sorted({1, threshold - 1, guaranteed, anchor, anchor + 3} - {0}):
+            code, out, _ = run_cli(capsys, "analyze", literal, "--json", "--N", str(n))
+            assert code == 0
+            payload = json.loads(out)
+            expected = check_structure(a_set, n)
+            assert payload["min_threshold"] == threshold, (a_set, n)
+            assert payload["report"] == {
+                "n": n,
+                "holds": expected.holds,
+                "witnesses": list(expected.missing_witnesses),
+                "witness_count": expected.missing_count,
+                "rhs_size": expected.rhs_size,
+            }, (a_set, n)
 
 
 def test_scan_stdout_json(capsys):

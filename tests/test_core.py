@@ -172,6 +172,35 @@ def test_profile_matches_oracle_small_sets():
         assert prof.gap_mask == sum(1 << g for g in gaps), a
 
 
+def test_first_members_step_matches_the_full_profile():
+    from itertools import combinations
+    from random import Random
+
+    from stampset.core import _first_members
+
+    every_reflected = [
+        reflect(a)
+        for b in range(2, 13)
+        for r in range(b)
+        for interior in combinations(range(1, b), r)
+        if (a := fis(0, *interior, b)).is_normalized
+    ]
+    rng = Random(20261018)
+    random_sets = []
+    while len(random_sets) < 200:
+        b = rng.randint(2, 200)
+        interior = rng.sample(range(1, b), rng.randint(0, min(4, b - 1)))
+        a = FiniteIntegerSet.of((0, b, *interior))
+        if a.is_normalized:
+            random_sets.append(a)
+    for a in every_reflected + random_sets:
+        prof = exceptional_profile(a)
+        first, first_mask, gap_mask = _first_members(a.elements)
+        assert first == prof.first_reachable, a
+        assert gap_mask == prof.gap_mask, a
+        assert first_mask == sum(1 << n for n in first), a
+
+
 def test_represent_frozen_examples():
     cert = represent(10, fis(0, 3, 5), 2)
     assert cert.parts == (5, 5)

@@ -114,6 +114,11 @@ def test_theorem_checks_raise_on_a_corrupted_profile():
     gapless = replace(analysis, profile=replace(analysis.profile, gap_mask=0))
     with pytest.raises(RuntimeError, match="description fails at the anchor N=4"):
         gapless.threshold()
+    # the same checks on the one walk that gives analyze its threshold and report
+    with pytest.raises(RuntimeError, match="sumset escapes its description"):
+        escaping.threshold_and_report(2, 1)
+    with pytest.raises(RuntimeError, match="description fails at the anchor N=4"):
+        gapless.threshold_and_report(9, 1)
 
 
 def test_witnesses_are_valid():
