@@ -15,7 +15,8 @@ Four subcommands cover the library surface:
 Sets are written as comma-separated integers ("0,3,5").  Input sets are
 normalized automatically (shift by the minimum, divide by the gcd) with
 a notice showing the applied (g, tau).  Exit codes: 0 success, 2 bad
-input, 3 a scan contradicted the expected catalogs, 4 report I/O error.
+input, 3 a scan contradicted the expected catalogs, 4 report I/O error,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidSetError, DegenerateSetError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

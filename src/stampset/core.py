@@ -124,6 +124,12 @@ def _iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def _reverse_bits(bits: int, width: int) -> int:
+    """Mirror ``bits`` (below 2**width) over [0, width - 1]: bit j moves to width-1-j."""
+    # bin() lists bits high to low: its reversed digits put bit 0 first
+    return int(bin(bits)[:1:-1], 2) << (width - bits.bit_length())
+
+
 class Normalization(NamedTuple):
     g: int
     tau: int

@@ -50,7 +50,7 @@ recognizer is a faithful transcription of its family's definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .core import FiniteIntegerSet, _require_normalized, n_fold_sumset, reflect
@@ -58,6 +58,7 @@ from .core import FiniteIntegerSet, _require_normalized, n_fold_sumset, reflect
 __all__ = [
     "FamilyLabel",
     "classify_exceptional_family",
+    "reflect_labels",
     "appendix_family_threshold",
 ]
 
@@ -205,6 +206,18 @@ def classify_exceptional_family(
             for kind, parameters in matcher(subject):
                 labels.append(FamilyLabel(kind, parameters, mirrored))
     return tuple(labels)
+
+
+def reflect_labels(labels: tuple[FamilyLabel, ...]) -> tuple[FamilyLabel, ...]:
+    """The labels of b - A, read off ``classify_exceptional_family(A, delta)``.
+
+    A's own matches become the reflected ones of b - A and vice versa, so
+    the two runs swap places (own matches first, as the classifier lists
+    them) and every ``reflected`` flag flips.
+    """
+    swapped = [label for label in labels if label.reflected]
+    swapped += [label for label in labels if not label.reflected]
+    return tuple(replace(label, reflected=not label.reflected) for label in swapped)
 
 
 # The sparse shapes of the module docstring, one row each, in the order

@@ -22,14 +22,28 @@ collected as a catalog mismatch and raised as
 attached, so callers can both see the report and treat the run as a
 hard failure.
 
+Sets come in mirror pairs {A, b-A}: the mask of b-A is that of A
+reversed over b-1 bits.  Since n lies in NA exactly when bN - n lies in
+N(b-A), both fail at the same N with the same missing count, the
+witnesses of b-A are bN - w for the largest missing w of A, and its
+family labels are those of A seen from the other side.  So only the
+canonical member of a pair, the one whose mask is not above its
+mirror's, is analyzed; it emits the records of both, and a set that is
+its own mirror is emitted once.  Both members get the window
+[max(1, b - ell - delta), anchor(A)], since the anchor is b - ell for
+both (a test pins this for every set with b <= 16).
+
 Work is partitioned into contiguous bitmask ranges, each a few
 milliseconds of work, and farmed out to a process pool when
-``parallelism > 1``.  Every shard reports how many masks it analyzed,
-how many it skipped for gcd reasons, and the sum of the mask integers
-it visited; the merge step checks those against closed-form totals, so
-a lost or duplicated shard cannot go unnoticed.  Results are sorted by
-(b, mask) after the merge, which makes reports byte-identical across
-worker counts.
+``parallelism > 1``.  Every shard reports how many sets it analyzed
+(counting the mirror of each canonical set it holds, even when that
+mirror's mask lies in another shard), how many masks it skipped for
+gcd reasons, and the sum of the mask integers it visited; the merge
+step checks those against closed-form totals, so a lost or duplicated
+shard cannot go unnoticed.  Results carry each set's own mask and are
+sorted by (b, mask) after the merge, which makes reports byte-identical
+across worker counts.  Pool workers ignore Ctrl-C; the parent takes it,
+cancels the pending shards and shuts the pool down.
 """
 
 from __future__ import annotations
@@ -38,15 +52,16 @@ import csv
 import io
 import json
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator
 
-from .core import FiniteIntegerSet, _iter_bits, _set_str
+from .core import FiniteIntegerSet, _iter_bits, _reverse_bits, _set_str
 from .errors import CatalogMismatchError
-from .families import classify_exceptional_family
+from .families import classify_exceptional_family, reflect_labels
 from .verifier import DEFAULT_WITNESS_CAP, _analyze
 
 __all__ = [
@@ -128,8 +143,8 @@ class _Tally:
 
 def _walk_sets(
     b: int, mask_lo: int, mask_hi: int, ell_lo: int, ell_hi: int, tally: _Tally
-) -> Iterator[tuple[int, FiniteIntegerSet]]:
-    """Yield (mask, set) for each normalized set with endpoints 0 and b
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (mask, elements) for each normalized set with endpoints 0 and b
     whose interior mask lies in [mask_lo, mask_hi) and size in [ell_lo, ell_hi]."""
     for mask in range(mask_lo, mask_hi):
         tally.mask_sum += mask
@@ -139,7 +154,7 @@ def _walk_sets(
         if gcd(b, *interior) != 1:
             tally.skipped_gcd += 1
             continue
-        yield mask, FiniteIntegerSet((0, *interior, b))
+        yield mask, (0, *interior, b)
 
 
 def enumerate_sets(
@@ -156,8 +171,8 @@ def enumerate_sets(
         raise ValueError(f"modulus must be at least 2, got {b}")
     lo = 0 if ell_min is None else ell_min
     hi = b - 1 if ell_max is None else ell_max
-    for _, a_set in _walk_sets(b, 0, 1 << (b - 1), lo, hi, _Tally()):
-        yield a_set
+    for _, elements in _walk_sets(b, 0, 1 << (b - 1), lo, hi, _Tally()):
+        yield FiniteIntegerSet(elements)
 
 
 def _scan_unit(
@@ -169,54 +184,68 @@ def _scan_unit(
     delta: int,
     witness_cap: int,
 ):
-    """Scan one contiguous bitmask range; returns plain tuples for IPC."""
+    """Scan one contiguous bitmask range; returns plain tuples for IPC.
+
+    Only the canonical member of each pair {A, b-A} is analyzed: the one
+    whose mask is not above its mirror's.  It emits the records of both.
+    """
     analyzed = 0
     tally = _Tally()
     failures = []
     mismatches = []
-    for mask, a_set in _walk_sets(b, mask_lo, mask_hi, ell_lo, ell_hi, tally):
-        analyzed += 1
-        ell = a_set.ell
+    for mask, elements in _walk_sets(b, mask_lo, mask_hi, ell_lo, ell_hi, tally):
+        mirror = _reverse_bits(mask, b - 1)
+        if mirror < mask:
+            continue  # emitted by the shard holding its mirror
+        a_set = FiniteIntegerSet(elements)
         analysis = _analyze(a_set)
-        window_lo = max(1, b - ell - delta)
-        window_hi = analysis.anchor
+        window_lo = max(1, b - a_set.ell - delta)
+        window_hi = analysis.anchor  # the anchor of b-A too
         fails = analysis.failures(window_lo, window_hi, witness_cap)
-        if delta:
-            label_strs = tuple(
-                str(label) for label in classify_exceptional_family(a_set, delta)
-            )
-        else:
-            label_strs = ()
-        for n_summands, witnesses, count in fails:
-            failures.append(
-                (mask, a_set.elements, n_summands, witnesses, count, label_strs)
-            )
-        guaranteed = max(1, b - ell)
-        hard = [n for n, _, _ in fails if n >= guaranteed]
-        if hard:
-            mismatches.append(
-                (
-                    mask,
-                    a_set.elements,
-                    "identity_violation",
-                    f"fails at N={hard} inside the guaranteed range N >= {guaranteed}",
+        labels = classify_exceptional_family(a_set, delta) if delta else ()
+        sides = [(mask, elements, labels)]
+        if mirror != mask:
+            reflected = tuple(b - x for x in reversed(elements))
+            sides.append((mirror, reflected, reflect_labels(labels)))
+        failing = [n for n, *_ in fails]
+        guaranteed = max(1, b - a_set.ell)
+        hard = [n for n in failing if n >= guaranteed]
+        for side, (side_mask, side_elements, side_labels) in enumerate(sides):
+            analyzed += 1
+            label_strs = tuple(str(label) for label in side_labels)
+            for n, count, *witnesses in fails:
+                failures.append(
+                    (side_mask, side_elements, n, witnesses[side], count, label_strs)
                 )
-            )
-        if delta and bool(fails) != bool(label_strs):
-            if fails:
-                kind = "failure_without_family"
-                detail = (
-                    f"fails at N={[n for n, _, _ in fails]} but matches no "
-                    f"cataloged family at delta={delta}"
+            if hard:
+                mismatches.append(
+                    (
+                        side_mask,
+                        side_elements,
+                        "identity_violation",
+                        f"fails at N={hard} inside the guaranteed range N >= {guaranteed}",
+                    )
                 )
-            else:
-                kind = "family_without_failure"
-                detail = (
-                    f"matches {'+'.join(label_strs)} but holds at every "
-                    f"N in [{window_lo}, {window_hi}]"
-                )
-            mismatches.append((mask, a_set.elements, kind, detail))
+            if delta and bool(fails) != bool(label_strs):
+                if fails:
+                    kind = "failure_without_family"
+                    detail = (
+                        f"fails at N={failing} but matches no "
+                        f"cataloged family at delta={delta}"
+                    )
+                else:
+                    kind = "family_without_failure"
+                    detail = (
+                        f"matches {'+'.join(label_strs)} but holds at every "
+                        f"N in [{window_lo}, {window_hi}]"
+                    )
+                mismatches.append((side_mask, side_elements, kind, detail))
     return analyzed, tally.skipped_gcd, tally.mask_sum, failures, mismatches
+
+
+def _ignore_interrupts() -> None:
+    """Pool initializer: Ctrl-C reaches the parent, which shuts the pool down."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _units_for(b: int, parallelism: int) -> list[tuple[int, int]]:
@@ -249,7 +278,7 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
         ell_floor = max(ell_floor, 5)
 
     pool = (
-        ProcessPoolExecutor(max_workers=config.parallelism)
+        ProcessPoolExecutor(config.parallelism, initializer=_ignore_interrupts)
         if config.parallelism > 1
         else None
     )
@@ -288,7 +317,7 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
             timing[b] = time.perf_counter() - started
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
     all_failures.sort(key=lambda item: (item[0], item[1], item[3]))
     all_mismatches.sort(key=lambda item: (item[0], item[1]))

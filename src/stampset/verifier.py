@@ -45,6 +45,7 @@ from .core import (
     _iter_bits,
     _iter_nfold,
     _require_normalized,
+    _reverse_bits,
     exceptional_profile,
     reflect,
 )
@@ -158,10 +159,22 @@ class _Analysis:
 
     def failures(
         self, n_lo: int, n_hi: int, witness_cap: int
-    ) -> list[tuple[int, tuple[int, ...], int]]:
-        """All N in [n_lo, n_hi] where the description is strict, with witnesses."""
+    ) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+        """All N in [n_lo, n_hi] where the description is strict.
+
+        Each is (N, missing count, witnesses of A, witnesses of b-A).  Since
+        n lies in NA exactly when bN - n lies in N(b-A), b-A fails at the
+        same N with the same count, and its witnesses are bN - w for the
+        largest missing w of A.
+        """
+        b = self.a_set.b
         return [
-            (n_summands, _witnesses(diff, witness_cap), diff.bit_count())
+            (
+                n_summands,
+                diff.bit_count(),
+                _witnesses(diff, witness_cap),
+                _witnesses(_reverse_bits(diff, b * n_summands + 1), witness_cap),
+            )
             for n_summands, _, diff in self._walk(range(n_lo, n_hi + 1))
             if diff
         ]
@@ -219,7 +232,7 @@ def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
     """Profile A (so unnormalized input names A), then find b - A's first members."""
     profile = exceptional_profile(a_set)
     first_r, _, gaps_r = _first_members(reflect(a_set).elements)
-    mirrored = int(bin(gaps_r)[:1:-1], 2)  # bin() lists bits high to low
+    mirrored = _reverse_bits(gaps_r, gaps_r.bit_length())
     return _Analysis(a_set, profile, first_r, mirrored, gaps_r.bit_length() - 1)
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from itertools import chain, combinations, islice
 
 import pytest
@@ -234,3 +237,24 @@ def test_module_entry_point_subprocess():
     )
     assert completed.returncode == 0
     assert "E(A)   = {1,2,4,7}" in completed.stdout
+
+
+def test_scan_interrupt_shuts_the_pool_down_cleanly():
+    # Ctrl-C signals the whole foreground process group: parent and workers
+    process = subprocess.Popen(
+        [sys.executable, "-m", "stampset", "scan", "--bmax", "22", "--jobs", "2"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(2)
+        os.killpg(process.pid, signal.SIGINT)
+        _, err = process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+    assert process.returncode == 130
+    assert err == "interrupted\n"

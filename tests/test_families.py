@@ -5,11 +5,15 @@ from itertools import combinations
 import pytest
 
 from stampset import FiniteIntegerSet, InvalidSetError
+from stampset.errors import CatalogMismatchError
 from stampset.families import (
     FamilyLabel,
     appendix_family_threshold,
     classify_exceptional_family,
+    reflect_labels,
 )
+from stampset.core import reflect
+from stampset.scan import ScanConfig, scan_theorems
 from stampset.verifier import all_n_criterion, check_structure, min_threshold
 
 
@@ -86,6 +90,13 @@ def test_delta_one_never_reports_g_families():
     assert all(label.kind in ("F1", "F2") for label in labels)
 
 
+@pytest.mark.parametrize("delta", [1, 2])
+def test_reflected_labels_are_the_labels_of_the_mirror(delta):
+    for a in every_normalized(range(2, 15)):
+        mirrored = reflect_labels(classify_exceptional_family(a, delta))
+        assert mirrored == classify_exceptional_family(reflect(a), delta), a
+
+
 def test_classify_validates_input():
     with pytest.raises(InvalidSetError):
         classify_exceptional_family(fis(0, 2, 4), 1)
@@ -135,14 +146,29 @@ def test_delta_two_catalog_gap_is_exactly_the_known_shape():
             assert fails_late and not labeled, a
             assert min_threshold(a) == 2, a
             observed_gaps.add(a.elements)
-    expected_gaps = set()
-    for b in (9, 10):
-        for x in range(3, b - 3):
-            shape = tuple(v for v in range(b + 1) if v not in (x, b - 1))
-            mirror = tuple(sorted(b - v for v in shape))
-            expected_gaps.add(shape)
-            expected_gaps.add(mirror)
-    assert observed_gaps == expected_gaps
+    assert observed_gaps == _known_catalog_gap(9) | _known_catalog_gap(10)
+
+
+def _known_catalog_gap(b):
+    """{0,...,b} \\ {a, b-1} for 3 <= a <= b-4, and the mirror of each."""
+    gap = set()
+    for x in range(3, b - 3):
+        shape = tuple(v for v in range(b + 1) if v not in (x, b - 1))
+        gap.add(shape)
+        gap.add(tuple(sorted(b - v for v in shape)))
+    return gap
+
+
+def test_delta_two_catalog_gap_keeps_its_shape_at_b_16():
+    # a delta-2 scan up to b = 20 found exactly this shape at every b
+    with pytest.raises(CatalogMismatchError) as excinfo:
+        scan_theorems(ScanConfig(16, 16, delta=2))
+    mismatches = excinfo.value.result.catalog_mismatches
+    assert {m.elements for m in mismatches} == _known_catalog_gap(16)
+    assert len(mismatches) == 20
+    for mismatch in mismatches:
+        assert mismatch.kind == "failure_without_family"
+        assert mismatch.detail.startswith("fails at N=[1] "), mismatch
 
 
 def test_appendix_matches_frozen():

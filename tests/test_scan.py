@@ -9,6 +9,7 @@ import pytest
 from stampset import FiniteIntegerSet
 from stampset import scan
 from stampset.errors import CatalogMismatchError
+from stampset.families import classify_exceptional_family
 from stampset.scan import (
     FailureRecord,
     MismatchRecord,
@@ -19,7 +20,7 @@ from stampset.scan import (
     render_report,
     scan_theorems,
 )
-from stampset.verifier import check_structure
+from stampset.verifier import _analyze, check_structure
 
 from oracles import count_normalized_sets
 
@@ -121,11 +122,56 @@ def test_delta_two_restricts_range():
     assert result.failures == ()
 
 
+def _scan_or_attached(config):
+    try:
+        return scan_theorems(config)
+    except CatalogMismatchError as err:
+        return err.result
+
+
 def test_reports_identical_across_parallelism():
-    one = scan_theorems(ScanConfig(2, 10, delta=1, parallelism=1))
-    two = scan_theorems(ScanConfig(2, 10, delta=1, parallelism=2))
-    assert render_report(one) == render_report(two)
-    assert render_report(one, "csv") == render_report(two, "csv")
+    # at b >= 10 the 64-mask shards split pairs {A, b-A} between workers
+    for b_min, b_max, delta in ((2, 10, 1), (9, 12, 2)):
+        one = _scan_or_attached(ScanConfig(b_min, b_max, delta=delta, parallelism=1))
+        two = _scan_or_attached(ScanConfig(b_min, b_max, delta=delta, parallelism=2))
+        assert render_report(one) == render_report(two)
+        assert render_report(one, "csv") == render_report(two, "csv")
+
+
+@pytest.mark.parametrize("witness_cap", [1, 3])
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_paired_scan_matches_an_unpaired_reference(delta, witness_cap):
+    # the scan analyzes one set of each pair {A, b-A}; the reference
+    # analyzes every set on its own
+    failures, mismatches = [], []
+    b_min, ell_min = (9, 5) if delta == 2 else (2, 0)
+    for b in range(b_min, 13):
+        for a_set in enumerate_sets(b, ell_min):
+            analysis = _analyze(a_set)
+            window_lo = max(1, b - a_set.ell - delta)
+            fails = analysis.failures(window_lo, analysis.anchor, witness_cap)
+            labels = classify_exceptional_family(a_set, delta) if delta else ()
+            labels = tuple(str(label) for label in labels)
+            failures.extend(
+                FailureRecord(b, a_set.elements, n, witnesses, count, labels)
+                for n, count, witnesses, _ in fails
+            )
+            if delta and bool(fails) != bool(labels):
+                kind = "failure_without_family" if fails else "family_without_failure"
+                mismatches.append((b, a_set.elements, kind))
+    result = _scan_or_attached(ScanConfig(2, 12, delta=delta, witness_cap=witness_cap))
+    assert result.failures == tuple(failures)
+    assert [(m.b, m.elements, m.kind) for m in result.catalog_mismatches] == mismatches
+    assert result.sets_scanned == sum(
+        len(list(enumerate_sets(b, ell_min))) for b in range(b_min, 13)
+    )
+
+
+def test_anchor_of_a_set_and_its_mirror_is_b_minus_ell():
+    # the paired scan gives b-A the window of A; every mirror is enumerated too
+    for b in range(2, 17):
+        for a_set in enumerate_sets(b):
+            assert _analyze(a_set).anchor == b - a_set.ell, a_set
 
 
 def test_json_report_shape():
