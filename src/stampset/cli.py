@@ -65,8 +65,8 @@ def _cmd_analyze(args) -> int:
     if n_summands < 1:
         raise InvalidSetError(f"N must be at least 1, got {n_summands}")
     analysis = _analyze(a_set)
-    prof, gaps_r = analysis.profile, analysis.reflected_gaps
-    threshold, report = analysis.threshold_and_report(n_summands, args.witness_cap)
+    threshold, report, prof = analysis.threshold_and_report(n_summands, args.witness_cap)
+    gaps_r = analysis.reflected_gaps
 
     if args.json:
         payload = {
@@ -81,7 +81,7 @@ def _cmd_analyze(args) -> int:
             "min_summands": list(prof.min_summands),
             "max_summands": prof.max_summands,
             "min_threshold": threshold,
-            "holds_for_all_n": analysis.holds_for_all_n(),
+            "holds_for_all_n": analysis.holds_for_all_n(prof),
             "report": {
                 "n": report.n_summands,
                 "holds": report.holds,

@@ -36,7 +36,7 @@ partial sum at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import compress, islice
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -160,7 +160,15 @@ def reflect(a_set: FiniteIntegerSet) -> FiniteIntegerSet:
     N(b - A).
     """
     b = a_set.b
-    return FiniteIntegerSet(tuple(b - x for x in reversed(a_set.elements)))
+    return _known_set(tuple(b - x for x in reversed(a_set.elements)))
+
+
+def _known_set(elements: tuple[int, ...]) -> FiniteIntegerSet:
+    """A FiniteIntegerSet of elements already known to be valid, built
+    without checking them again (the mirror of a valid set, a scanned mask)."""
+    a_set = object.__new__(FiniteIntegerSet)
+    object.__setattr__(a_set, "elements", elements)
+    return a_set
 
 
 def _require_normalized(a_set: FiniteIntegerSet) -> None:
@@ -219,12 +227,14 @@ def _semigroup_mask(elements: tuple[int, ...], bound: int) -> int:
     """Bitmask of P(A) on [0, bound]: closure of {0} under adding elements.
 
     Closing under one summand c uses shifts by c, 2c, 4c, ... so the whole
-    computation is O(|A| log bound) shift-ors.
+    computation is O(|A| log bound) shift-ors.  The elements come in
+    increasing order, and one that is already a sum of smaller ones adds
+    nothing, so it is skipped.
     """
     cap = (1 << (bound + 1)) - 1
     mask = 1
     for c in elements:
-        if c == 0:
+        if (mask >> c) & 1:  # also skips c = 0
             continue
         step = c
         while step <= bound:
@@ -233,39 +243,61 @@ def _semigroup_mask(elements: tuple[int, ...], bound: int) -> int:
     return mask
 
 
-def _gap_list(modulus: int, first_reachable: tuple[int, ...]) -> tuple[int, ...]:
-    """E(A) in increasing order, from the first member of every class."""
-    runs = (range(a, f, modulus) for a, f in enumerate(first_reachable, 1))
-    return tuple(sorted(chain.from_iterable(runs)))
+# maps the digits of bin() to the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_list(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits of a non-negative int, lowest first.
+
+    One pass over bin() in C: for dense masks such as a gap mask.
+    """
+    flags = bin(bits)[:1:-1].encode().translate(_DIGIT_VALUES)  # flag n is bit n
+    return tuple(compress(range(len(flags)), flags))
 
 
 def _first_members(elements: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     """The first step of a profile: first_reachable, F and the gap mask of E(A).
 
     ``elements`` are those of a normalized set A; F is the first members
-    as one bitmask.  P(A) is closed under adding b, so its mask is walked
-    in windows of b bits: a class's bit that is new in a window marks its
-    first member.
+    as one bitmask.  P(A) is closed under adding b, so n > 0 is its class's
+    first member exactly when n is in P(A) and n - b is not: F is
+    P & ~(P << b) without 0.  Its b - 1 positions are read off one bin()
+    string.
     """
     b = elements[-1]
     if b == 1:
         return (), 0, 0
     bound = (b - 1) ** 2
     semigroup = _semigroup_mask(elements, bound)
-    full, seen, first_mask = (1 << b) - 1, 1, 0  # class 0 holds 0
-    for start in range(0, bound + 1, b):
-        window = (semigroup >> start) & full
-        first_mask |= (window & ~seen) << start
-        seen |= window
-        if seen == full:
-            break
-    else:  # impossible for a normalized set; guard against bugs
+    first_mask = semigroup & ~(semigroup << b | 1)
+    if first_mask.bit_count() != b - 1:  # impossible for a normalized set
         raise RuntimeError(f"some class mod {b} has no member below {bound}")
     first = [0] * (b - 1)
-    for n in _iter_bits(first_mask):
+    digits = bin(first_mask)[:1:-1]  # digit n is bit n
+    n = digits.find("1")
+    while n >= 0:
         first[n % b - 1] = n
+        n = digits.find("1", n + 1)
     gap_mask = ((1 << (bound + 1)) - 1) & ~semigroup
     return tuple(first), first_mask, gap_mask
+
+
+def _clear_first_members(layer: int, pending: int, n_summands: int, summands: list[int]) -> int:
+    """One step of the summand counts: record N for the first members in NA.
+
+    ``layer`` is NA, ``pending`` the part of F not reached below N, and
+    ``summands[a-1]`` the count of class a.  Returns what is still pending.
+    """
+    b = len(summands) + 1
+    reached = layer & pending
+    if reached:
+        for n in _iter_bits(reached):
+            summands[n % b - 1] = n_summands
+        pending ^= reached
+    if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
+        raise RuntimeError("minimal summand counts did not stabilize")
+    return pending
 
 
 def _min_summands(elements: tuple[int, ...], first_mask: int) -> tuple[int, ...]:
@@ -274,20 +306,13 @@ def _min_summands(elements: tuple[int, ...], first_mask: int) -> tuple[int, ...]
     Clears F layer by layer; layers are cut at the largest first member,
     which leaves membership below it exact.
     """
-    b = elements[-1]
-    summands = [0] * (b - 1)
+    summands = [0] * (elements[-1] - 1)
     pending = first_mask
-    limit = pending.bit_length() - 1
-    for n_summands, mask in enumerate(_iter_nfold(elements, limit), start=1):
-        reached = mask & pending
-        if reached:
-            for n in _iter_bits(reached):
-                summands[n % b - 1] = n_summands
-            pending ^= reached
+    layers = _iter_nfold(elements, pending.bit_length() - 1)
+    for n_summands, mask in enumerate(layers, start=1):
+        pending = _clear_first_members(mask, pending, n_summands, summands)
         if not pending:
             break
-        if n_summands > limit:
-            raise RuntimeError("minimal summand counts did not stabilize")
     return tuple(summands)
 
 
@@ -324,8 +349,8 @@ class ExceptionalProfile:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """E(A) in increasing order: class a's gaps are a, a+b, ... below first_reachable."""
-        return _gap_list(self.modulus, self.first_reachable)
+        """E(A) in increasing order, read off the gap mask."""
+        return _bit_list(self.gap_mask)
 
     @property
     def max_summands(self) -> int:

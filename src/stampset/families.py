@@ -199,9 +199,17 @@ def classify_exceptional_family(
     _require_normalized(a_set)
     if delta not in (1, 2):
         raise ValueError(f"delta must be 1 or 2, got {delta}")
+    return _classify(a_set, reflect(a_set), delta)
+
+
+def _classify(
+    a_set: FiniteIntegerSet, mirror: FiniteIntegerSet, delta: int
+) -> tuple[FamilyLabel, ...]:
+    """``classify_exceptional_family`` for a normalized A whose reflection
+    ``mirror`` the caller has built already."""
     matchers = _DELTA_ONE_MATCHERS if delta == 1 else _DELTA_TWO_MATCHERS
     labels = []
-    for subject, mirrored in ((a_set, False), (reflect(a_set), True)):
+    for subject, mirrored in ((a_set, False), (mirror, True)):
         for matcher in matchers:
             for kind, parameters in matcher(subject):
                 labels.append(FamilyLabel(kind, parameters, mirrored))

@@ -49,6 +49,7 @@ cancels the pending shards and shuts the pool down.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 import os
@@ -59,9 +60,9 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator
 
-from .core import FiniteIntegerSet, _iter_bits, _reverse_bits, _set_str
+from .core import FiniteIntegerSet, _iter_bits, _known_set, _reverse_bits, _set_str, reflect
 from .errors import CatalogMismatchError
-from .families import classify_exceptional_family, reflect_labels
+from .families import _classify, reflect_labels
 from .verifier import DEFAULT_WITNESS_CAP, _analyze
 
 __all__ = [
@@ -165,14 +166,39 @@ def enumerate_sets(
     Subsets of {1, ..., b-1} are encoded as bitmasks (bit j set means
     element j+1 is present) and visited in increasing numeric order, so
     the stream is deterministic.  Subsets whose elements share a factor
-    with b are skipped; an optional interior-size window filters on ell.
+    with b are skipped.  An optional interior-size window [ell_min,
+    ell_max] narrows the stream; a narrowed window visits only the masks
+    of the wanted sizes, so it costs what it yields.
     """
     if b < 2:
         raise ValueError(f"modulus must be at least 2, got {b}")
     lo = 0 if ell_min is None else ell_min
     hi = b - 1 if ell_max is None else ell_max
-    for _, elements in _walk_sets(b, 0, 1 << (b - 1), lo, hi, _Tally()):
-        yield FiniteIntegerSet(elements)
+    if lo <= 0 and hi >= b - 1:
+        for _, elements in _walk_sets(b, 0, 1 << (b - 1), lo, hi, _Tally()):
+            yield FiniteIntegerSet(elements)
+        return
+    # a narrowed window: only the masks of each wanted size, merged
+    sized = (_masks_of_size(ell, b - 1) for ell in range(max(lo, 0), hi + 1))
+    for mask in heapq.merge(*sized):
+        interior = tuple(j + 1 for j in _iter_bits(mask))
+        if gcd(b, *interior) == 1:
+            yield FiniteIntegerSet((0, *interior, b))
+
+
+def _masks_of_size(size: int, width: int) -> Iterator[int]:
+    """Every mask below 2**width with ``size`` bits set, in increasing order.
+
+    Each step is Gosper's hack: the next larger integer with as many bits.
+    """
+    mask = (1 << size) - 1
+    while mask >> width == 0:
+        yield mask
+        if not mask:
+            return
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
 def _scan_unit(
@@ -194,19 +220,18 @@ def _scan_unit(
     failures = []
     mismatches = []
     for mask, elements in _walk_sets(b, mask_lo, mask_hi, ell_lo, ell_hi, tally):
-        mirror = _reverse_bits(mask, b - 1)
-        if mirror < mask:
+        mirror_mask = _reverse_bits(mask, b - 1)
+        if mirror_mask < mask:
             continue  # emitted by the shard holding its mirror
-        a_set = FiniteIntegerSet(elements)
-        analysis = _analyze(a_set)
+        a_set = _known_set(elements)
+        mirror = reflect(a_set)  # built once, for the analysis and the classifier
         window_lo = max(1, b - a_set.ell - delta)
-        window_hi = analysis.anchor  # the anchor of b-A too
-        fails = analysis.failures(window_lo, window_hi, witness_cap)
-        labels = classify_exceptional_family(a_set, delta) if delta else ()
+        # the window ends at the anchor of A, which is the anchor of b-A too
+        window_hi, fails = _analyze(a_set, mirror).failures(window_lo, witness_cap)
+        labels = _classify(a_set, mirror, delta) if delta else ()
         sides = [(mask, elements, labels)]
-        if mirror != mask:
-            reflected = tuple(b - x for x in reversed(elements))
-            sides.append((mirror, reflected, reflect_labels(labels)))
+        if mirror_mask != mask:
+            sides.append((mirror_mask, mirror.elements, reflect_labels(labels)))
         failing = [n for n, *_ in fails]
         guaranteed = max(1, b - a_set.ell)
         hard = [n for n in failing if n >= guaranteed]

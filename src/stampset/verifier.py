@@ -15,13 +15,18 @@ the arithmetic progression
 together with all multiples of b in [0, bN].  NA is always contained in
 the description; the question is for which N the two agree.
 
-Every entry point reads one per-set analysis: the full profile of A and,
-for b-A, only its first members and gap mask (its summand counts are
-never read).  The mask of E(b-A) is bit-reversed once, so one shift
-places each gap g at bN - g, and D(N) is [0, bN] with both masks
-cleared: a few big-integer operations per N.  One walk over the layers
-NA gives both the threshold and the report at a requested N, so
-``analyze`` builds each layer once.  Facts this module relies on:
+Every entry point reads one per-set analysis: the first members and gap
+masks of A and of b-A.  The mask of E(b-A) is bit-reversed once, so one
+shift places each gap g at bN - g.  One walk over the layers NA does the
+rest, building each layer once.  A layer clears the first members of A
+it reaches, which gives A's minimal summand counts, and is checked
+against D(N) without building it: the gaps of A against the bottom of
+the layer, the mirrored gaps of b-A against its top, and one count of NA
+against |D(N)| = bN + 1 - |gaps inside [0, bN]|, counted on the narrow
+gap masks.  D(N) itself, and D(N) minus NA, are built only at failing
+layers whose witnesses are wanted.  The walk stops at the anchor, the
+first N >= b - ell at which every first member has appeared, or at a
+requested N beyond it.  Facts this module relies on:
 
   * the description holds for every N >= b - ell (ell = interior count);
   * if it holds at an anchor N0 at least as large as every per-class
@@ -34,14 +39,16 @@ NA gives both the threshold and the report at a requested N, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import islice
+from typing import Iterator
 
 from .core import (
     ExceptionalProfile,
     FiniteIntegerSet,
+    _bit_list,
+    _clear_first_members,
     _first_members,
-    _gap_list,
     _iter_bits,
     _iter_nfold,
     _require_normalized,
@@ -88,135 +95,187 @@ class StructureReport:
 
 
 @dataclass(frozen=True)
-class _Analysis:
-    """The profile of A, the first members of b-A, and what entry points read off them.
+class _FirstMembers:
+    """The first step of A's profile: each class's first member, F (those
+    members as one mask) and the gap mask of E(A)."""
 
-    ``mirrored`` is the gap mask of b-A reversed over [0, mirror_width],
-    where mirror_width is its largest gap (-1 without gaps): gap g sits at
-    bit mirror_width - g, so a shift by bN - mirror_width moves it to bN - g.
+    first_reachable: tuple[int, ...]
+    first_mask: int
+    gap_mask: int
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """The first members of A and of b-A, and what entry points read off A's layers.
+
+    ``profile`` is the first step of A's profile; the summand counts come
+    from the one walk over A's layers (``_walk``).  ``mirrored`` is the gap
+    mask of b-A reversed over [0, mirror_width], where mirror_width is its
+    largest gap (-1 without gaps): gap g sits at bit mirror_width - g, so a
+    shift by bN - mirror_width moves it to bN - g.
     """
 
     a_set: FiniteIntegerSet
-    profile: ExceptionalProfile
+    profile: _FirstMembers
     reflected_first: tuple[int, ...]
     mirrored: int
     mirror_width: int
 
     @property
-    def anchor(self) -> int:
-        """max(b - ell, max_summands): holding there means holding for all larger N."""
-        return max(self.a_set.b - self.a_set.ell, self.profile.max_summands)
-
-    @property
     def reflected_gaps(self) -> tuple[int, ...]:
         """E(b-A) in increasing order."""
-        return _gap_list(self.a_set.b, self.reflected_first)
+        return _bit_list(_reverse_bits(self.mirrored, self.mirror_width + 1))
 
-    def description(self, n_summands: int, sumset: int) -> int:
-        """D(N) over [0, bN], after checking that NA (``sumset``) lies inside it."""
+    @cached_property
+    def _gap_counts(self) -> tuple[int, int]:
+        """|E(A)| and |E(b-A)|."""
+        return self.profile.gap_mask.bit_count(), self.mirrored.bit_count()
+
+    def description(self, n_summands: int) -> int:
+        """D(N) over [0, bN], built only where witnesses are wanted."""
         top = self.a_set.b * n_summands
         shift = top - self.mirror_width
         mirrored = self.mirrored << shift if shift >= 0 else self.mirrored >> -shift
-        description = ((1 << (top + 1)) - 1) & ~(self.profile.gap_mask | mirrored)
-        if sumset & ~description:
+        return ((1 << (top + 1)) - 1) & ~(self.profile.gap_mask | mirrored)
+
+    def _missing(self, n_summands: int, sumset: int) -> int:
+        """|D(N)| - |NA|, after checking that NA (``sumset``) lies inside D(N).
+
+        Besides one count of NA only narrow masks are touched: the gaps of A
+        against the bottom of the layer, the mirrored gaps of b-A against its
+        top, and |D(N)| = bN + 1 - |cut|, the cut being both sets of gaps
+        inside [0, bN], counted on those masks.
+        """
+        top = self.a_set.b * n_summands
+        gaps, mirrored = self.profile.gap_mask, self.mirrored
+        gap_count, mirror_count = self._gap_counts
+        shift = top - self.mirror_width  # where bit 0 of ``mirrored`` lands
+        if shift >= 0:
+            at_top = (sumset >> shift) & mirrored
+            overlap = (gaps >> shift) & mirrored
+        else:  # the gaps of b-A above bN would land below 0
+            mirrored >>= -shift
+            mirror_count = mirrored.bit_count()
+            at_top = sumset & mirrored
+            overlap = gaps & mirrored
+        if sumset & gaps or at_top or sumset.bit_length() > top + 1:
             raise RuntimeError(
                 f"sumset escapes its description for {self.a_set} at N={n_summands}; "
                 "this contradicts a theorem and indicates a bug"
             )
-        return description
+        if gaps.bit_length() > top + 1:
+            gap_count = (gaps & ((1 << (top + 1)) - 1)).bit_count()
+        cut = gap_count + mirror_count - overlap.bit_count()
+        return top + 1 - cut - sumset.bit_count()
 
-    def _walk(self, wanted: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-        """(N, D(N), D(N) minus NA) for each N of the increasing ``wanted``.
+    def _walk(self, summands: list[int]) -> Iterator[tuple[int, int, bool]]:
+        """(N, NA, anchored) for N = 1, 2, ..., each layer built once.
 
-        One pass over the layers NA from N = 1: every layer is built once,
-        and only the wanted ones are described.
+        Every layer clears the first members it reaches, which fills
+        ``summands``; the readers check the layers they need with
+        ``_missing``.  ``anchored`` holds from the anchor on: the first
+        N >= b - ell at which no first member is still pending, so that
+        N >= max(b - ell, max_summands).
         """
-        layers, built = _iter_nfold(self.a_set.elements), 0
-        for n_summands in wanted:
-            sumset = next(islice(layers, n_summands - built - 1, None))
-            built = n_summands
-            description = self.description(n_summands, sumset)
-            yield n_summands, description, description & ~sumset
+        floor = self.a_set.b - self.a_set.ell
+        pending = self.profile.first_mask
+        for n_summands, sumset in enumerate(_iter_nfold(self.a_set.elements), start=1):
+            pending = _clear_first_members(sumset, pending, n_summands, summands)
+            yield n_summands, sumset, n_summands >= floor and not pending
 
     def _report(
-        self, n_summands: int, description: int, diff: int, witness_cap: int
+        self, n_summands: int, sumset: int, missing: int, witness_cap: int
     ) -> StructureReport:
+        diff = self.description(n_summands) & ~sumset if missing else 0
         return StructureReport(
             subject=self.a_set,
             n_summands=n_summands,
-            holds=diff == 0,
+            holds=not missing,
             missing_witnesses=_witnesses(diff, witness_cap),
-            missing_count=diff.bit_count(),
-            rhs_size=description.bit_count(),
+            missing_count=missing,
+            rhs_size=sumset.bit_count() + missing,
             witness_cap=witness_cap,
         )
 
     def report(self, n_summands: int, witness_cap: int) -> StructureReport:
         """NA against D(N) at one N."""
         _check_request(n_summands, witness_cap)
-        (layer,) = self._walk((n_summands,))
-        return self._report(*layer, witness_cap)
+        layers = self._walk([0] * (self.a_set.b - 1))
+        _, sumset, _ = next(islice(layers, n_summands - 1, None))
+        missing = self._missing(n_summands, sumset)
+        return self._report(n_summands, sumset, missing, witness_cap)
 
     def failures(
-        self, n_lo: int, n_hi: int, witness_cap: int
-    ) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-        """All N in [n_lo, n_hi] where the description is strict.
+        self, n_lo: int, witness_cap: int
+    ) -> tuple[int, list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]:
+        """The anchor, and every N from n_lo to the anchor where the description is strict.
 
-        Each is (N, missing count, witnesses of A, witnesses of b-A).  Since
-        n lies in NA exactly when bN - n lies in N(b-A), b-A fails at the
-        same N with the same count, and its witnesses are bN - w for the
-        largest missing w of A.
+        The layers from n_lo to the anchor are checked.  Each failure is
+        (N, missing count, witnesses of A, witnesses of b-A).  Since n lies
+        in NA exactly when bN - n lies in N(b-A), b-A fails at the same N
+        with the same count, and its witnesses are bN - w for the largest
+        missing w of A.
         """
         b = self.a_set.b
-        return [
-            (
-                n_summands,
-                diff.bit_count(),
-                _witnesses(diff, witness_cap),
-                _witnesses(_reverse_bits(diff, b * n_summands + 1), witness_cap),
-            )
-            for n_summands, _, diff in self._walk(range(n_lo, n_hi + 1))
-            if diff
-        ]
+        found = []
+        for n, sumset, anchored in self._walk([0] * (b - 1)):
+            missing = self._missing(n, sumset) if n >= n_lo else 0
+            if missing:
+                diff = self.description(n) & ~sumset
+                mirror = _reverse_bits(diff, b * n + 1)
+                found.append(
+                    (n, missing, _witnesses(diff, witness_cap), _witnesses(mirror, witness_cap))
+                )
+            if anchored:
+                break
+        return n, found
 
     def threshold_and_report(
         self, n_summands: int | None = None, witness_cap: int = DEFAULT_WITNESS_CAP
-    ) -> tuple[int, StructureReport | None]:
-        """The least N0 >= 1 from which the description holds, and the report at N.
+    ) -> tuple[int, StructureReport | None, ExceptionalProfile]:
+        """The least N0 >= 1 from which the description holds, the report at N,
+        and the full profile of A.
 
-        One walk describes every layer up to the anchor; past the anchor
-        it only builds layers, up to N.  Without N the report is None.
+        One walk checks every layer up to the anchor, reading the summand
+        counts on the way, and goes on to N if N lies beyond it, checking
+        only N there.  Without N the report is None.
         """
-        upper = self.anchor
-        wanted: Iterable[int] = range(1, upper + 1)
         if n_summands is not None:
             _check_request(n_summands, witness_cap)
-            if n_summands > upper:
-                wanted = chain(wanted, (n_summands,))
-        last_bad, report = 0, None
-        for layer in self._walk(wanted):
-            n, _, diff = layer
-            if diff and n <= upper:
-                last_bad = n
+        summands = [0] * (self.a_set.b - 1)
+        anchor = last_bad = 0
+        report = None
+        for n, sumset, anchored in self._walk(summands):
+            missing = self._missing(n, sumset) if not anchor or n == n_summands else 0
             if n == n_summands:
-                report = self._report(*layer, witness_cap)
-        if last_bad >= upper:
+                report = self._report(n, sumset, missing, witness_cap)
+            if not anchor:
+                last_bad = n if missing else last_bad
+                anchor = n if anchored else 0
+            if anchor and n >= (n_summands or 0):
+                break
+        if last_bad >= anchor:
             raise RuntimeError(
-                f"description fails at the anchor N={upper} for {self.a_set}; "
+                f"description fails at the anchor N={anchor} for {self.a_set}; "
                 "this contradicts the threshold theorem and indicates a bug"
             )
-        return last_bad + 1, report
+        first = self.profile
+        profile = ExceptionalProfile(
+            self.a_set.b, first.first_reachable, tuple(summands), first.gap_mask
+        )
+        return last_bad + 1, report, profile
 
     def threshold(self) -> int:
         """The least N0 >= 1 from which the description holds, scanning up to the anchor."""
         return self.threshold_and_report()[0]
 
-    def holds_for_all_n(self) -> bool:
-        """first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a) for every class a."""
-        b, prof, first_r = self.a_set.b, self.profile, self.reflected_first
+    def holds_for_all_n(self, profile: ExceptionalProfile) -> bool:
+        """first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a) for every class a,
+        with ``profile`` the full profile of A."""
+        b, first_r = self.a_set.b, self.reflected_first
         for a in range(1, b):
-            lhs = prof.first_reachable[a - 1] + first_r[b - a - 1]
-            if lhs != b * prof.min_summands[a - 1]:
+            lhs = profile.first_reachable[a - 1] + first_r[b - a - 1]
+            if lhs != b * profile.min_summands[a - 1]:
                 return False
         return True
 
@@ -228,12 +287,18 @@ def _check_request(n_summands: int, witness_cap: int) -> None:
         raise ValueError(f"number of summands must be >= 1, got {n_summands}")
 
 
-def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
-    """Profile A (so unnormalized input names A), then find b - A's first members."""
-    profile = exceptional_profile(a_set)
-    first_r, _, gaps_r = _first_members(reflect(a_set).elements)
+def _analyze(a_set: FiniteIntegerSet, mirror: FiniteIntegerSet | None = None) -> _Analysis:
+    """Find the first members of A (so unnormalized input names A) and of b - A.
+
+    ``mirror`` is b - A, for a caller that has built it already.
+    """
+    _require_normalized(a_set)
+    if mirror is None:
+        mirror = reflect(a_set)
+    first_r, _, gaps_r = _first_members(mirror.elements)
     mirrored = _reverse_bits(gaps_r, gaps_r.bit_length())
-    return _Analysis(a_set, profile, first_r, mirrored, gaps_r.bit_length() - 1)
+    first = _FirstMembers(*_first_members(a_set.elements))
+    return _Analysis(a_set, first, first_r, mirrored, gaps_r.bit_length() - 1)
 
 
 def check_structure(
@@ -266,7 +331,8 @@ def all_n_criterion(a_set: FiniteIntegerSet) -> bool:
     least class-(b-a) member of P(b-A) sit at opposite ends of a common
     sumset layer: first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a).
     """
-    return _analyze(a_set).holds_for_all_n()
+    analysis = _analyze(a_set)
+    return analysis.holds_for_all_n(analysis.threshold_and_report()[2])
 
 
 @dataclass(frozen=True)

@@ -87,3 +87,11 @@ def count_normalized_sets(b):
         if b % d == 0:
             total += mu(d) * 2 ** (b // d - 1)
     return total
+
+
+def brute_layers(elements):
+    """NA for N = 1, 2, ... without end: every sum plus every element."""
+    layer = {0}
+    while True:
+        layer = {r + a for r in layer for a in elements}
+        yield layer

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -77,6 +78,44 @@ def test_analyze_json_round_trip(capsys):
         "report",
     ):
         assert first[key] == second[key], key
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("0,1,60",
+         "ffd88165259b6f92800ec6b5c4b59c48129f1db5e843ea44d7a7ddb8df370685"),
+        ("0,13,97",
+         "2077b0e36cdd9f7867d4274308d0ff01453b1511f53b5319ee2c7db879e7c005"),
+        ("0,57,182",
+         "dcbf1245b57f0deb56c6108aa1c4ff067a307d6636e404948e0eea83224e85a8"),
+        ("0,5,11,123",
+         "0aa4ee13c4fbed3a3298339256473000391e0ade8bde8edd1b348c67c21dd1bb"),
+        ("0,100,101,400",
+         "aa8f52928e7649b4f917fe7df414b61a0edcd906522465f12ecc165162a6ee13"),
+        ("0,7,60,800",
+         "eedd7f4502e75ba769c5d4759beb9b0c5c8a66106cb8deaa59dd4ca629fa82db"),
+        ("0,3,40,77,150",
+         "330bc4850124fefe6017c0b320026fcd46def1f9663e295cb8bd0aa8f8e6abd5"),
+        ("0,2,9,31,64,211",
+         "b42fc6c292772e4e833f64580181558c56b3b7705f91caa56704ee1e35a93906"),
+        ("0,1,59,60,61,120",
+         "c620527f04d72a252cef6c8d82779a89b964d5be54b5d9bb964965978369f470"),
+        ("0,1,99,100 --N 50",
+         "e437a7751b00910b92c906248d43747675843a9e4d9aba30424339f4905d8d3b"),
+        ("0,2,3,97,140 --N 20 --witness-cap 3",
+         "ae9ab7af27dd2a6fe0f2a2980253c670aa2bdf53180d88f0f2676820e9593374"),
+        ("0,7,60,800 --N 68",
+         "eef87a28a8a35e4d7e219ebd94dd9b6b7bc20aa01844d499a4b96c147ffa9832"),
+        ("0,57,182 --N 400",
+         "6eed7e79bfe1fad0cfe4f63fe801f506debd114a6a290b1054d592f3e524e3c3"),
+    ],
+)
+def test_analyze_json_bytes_are_pinned(capsys, argv, digest):
+    # b from 60 to 800 and ell from 1 to 4, some at an N where the description fails
+    code, out, _ = run_cli(capsys, "analyze", *argv.split(), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_main_reuses_one_parser_without_leaking_state(capsys):

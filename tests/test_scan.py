@@ -3,6 +3,9 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import time
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -46,6 +49,22 @@ def test_enumerate_order_is_bitmask_ascending():
 def test_enumerate_matches_mobius_count():
     for b in range(2, 13):
         assert len(list(enumerate_sets(b))) == count_normalized_sets(b), b
+
+
+def test_enumerate_narrowed_window_costs_what_it_yields():
+    started = time.perf_counter()
+    got = [a.elements for a in enumerate_sets(40, ell_max=2)]
+    assert time.perf_counter() - started < 1.0
+    oracle = [
+        (0, *interior, 40)
+        for size in range(3)
+        for interior in combinations(range(1, 40), size)
+        if gcd(40, *interior) == 1
+    ]
+    oracle.sort(key=lambda elements: sum(1 << (x - 1) for x in elements[1:-1]))
+    assert got == oracle
+    full = [a for a in enumerate_sets(14) if 3 <= a.ell <= 5]
+    assert list(enumerate_sets(14, 3, 5)) == full
 
 
 def test_enumerate_rejects_tiny_modulus():
@@ -147,9 +166,8 @@ def test_paired_scan_matches_an_unpaired_reference(delta, witness_cap):
     b_min, ell_min = (9, 5) if delta == 2 else (2, 0)
     for b in range(b_min, 13):
         for a_set in enumerate_sets(b, ell_min):
-            analysis = _analyze(a_set)
             window_lo = max(1, b - a_set.ell - delta)
-            fails = analysis.failures(window_lo, analysis.anchor, witness_cap)
+            _, fails = _analyze(a_set).failures(window_lo, witness_cap)
             labels = classify_exceptional_family(a_set, delta) if delta else ()
             labels = tuple(str(label) for label in labels)
             failures.extend(
@@ -171,7 +189,8 @@ def test_anchor_of_a_set_and_its_mirror_is_b_minus_ell():
     # the paired scan gives b-A the window of A; every mirror is enumerated too
     for b in range(2, 17):
         for a_set in enumerate_sets(b):
-            assert _analyze(a_set).anchor == b - a_set.ell, a_set
+            anchor, _ = _analyze(a_set).failures(1, 1)
+            assert anchor == b - a_set.ell, a_set
 
 
 def test_json_report_shape():
@@ -283,11 +302,27 @@ def test_emit_report_failed_write_keeps_existing_report(tmp_path, monkeypatch):
     ],
 )
 def test_report_bytes_are_pinned(delta, digest):
+    _assert_report_digest(ScanConfig(2, 12, delta=delta), digest)
+
+
+@pytest.mark.parametrize(
+    "delta, digest",
+    [
+        (0, "5761fec43fb08bfd473dbfc963d78ed364e01c786f667850bdca3f775e50ad68"),
+        (1, "5bdeedc46d061b4376f5cb78b43189abacc21639045d943170cb406d0cce9e3d"),
+        (2, "743b75f22fbae0496d4b774ce7d3e080eaa822c62399239b9c0f37338001e768"),
+    ],
+)
+def test_report_bytes_are_pinned_up_to_b_14(delta, digest):
+    _assert_report_digest(ScanConfig(2, 14, delta=delta), digest)
+
+
+def _assert_report_digest(config, digest):
     # the delta-2 scan raises on the known catalog gap; its report is the
     # result attached to the error
     try:
-        result = scan_theorems(ScanConfig(2, 12, delta=delta))
+        result = scan_theorems(config)
     except CatalogMismatchError as err:
-        assert delta == 2
+        assert config.delta == 2
         result = err.result
     assert hashlib.sha256(render_report(result).encode()).hexdigest() == digest

@@ -5,8 +5,15 @@ from functools import cache
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stampset import FiniteIntegerSet, InvalidSetError, n_fold_sumset, reflect
+from stampset import (
+    FiniteIntegerSet,
+    InvalidSetError,
+    exceptional_profile,
+    n_fold_sumset,
+    reflect,
+)
 from stampset.errors import InvalidResidueError
 from stampset.verifier import (
     _analyze,
@@ -16,7 +23,7 @@ from stampset.verifier import (
     placement_check,
 )
 
-from oracles import brute_nfold, brute_profile
+from oracles import brute_layers, brute_nfold, brute_profile
 
 
 def fis(*values: int) -> FiniteIntegerSet:
@@ -32,12 +39,14 @@ def every_normalized(b_max, ell_min=0, ell_max=None):
                     yield a
 
 
-@cache
+cached_brute_profile = cache(brute_profile)
+
+
 def brute_first_reachable(elements):
     """first_reachable of A and of b - A, from brute-force profiles."""
     b = max(elements)
     reflected = tuple(sorted(b - x for x in elements))
-    return brute_profile(elements)[0], brute_profile(reflected)[0]
+    return cached_brute_profile(elements)[0], cached_brute_profile(reflected)[0]
 
 
 def brute_description(elements, n_summands):
@@ -121,14 +130,77 @@ def test_theorem_checks_raise_on_a_corrupted_profile():
         gapless.threshold_and_report(9, 1)
 
 
+def test_escape_check_covers_the_top_of_the_layer():
+    # 8 = 3 + 5 is in 2A; a gap 2 of b - A would cut 2*5 - 2 = 8 out of D(2)
+    escaping = replace(_analyze(fis(0, 3, 5)), mirrored=1, mirror_width=2)
+    with pytest.raises(RuntimeError, match="sumset escapes its description"):
+        escaping.report(2, 1)
+    with pytest.raises(RuntimeError, match="sumset escapes its description"):
+        escaping.threshold_and_report(2, 1)
+
+
+def test_walk_matches_brute_force_layers_and_profiles():
+    # every normalized set with b <= 12, every N from 1 to the anchor + 2
+    for a in every_normalized(12):
+        b, elements = a.b, a.elements
+        analysis = _analyze(a)
+        summands = [0] * (b - 1)
+        anchor = 0
+        walk = zip(analysis._walk(summands), brute_layers(elements))
+        for (n, sumset, anchored), layer in walk:
+            missing = analysis._missing(n, sumset)
+            if n <= 2:
+                assert layer == brute_nfold(elements, n)
+            described = brute_description(elements, n)
+            assert layer <= described, (a, n)
+            assert sumset == sum(1 << s for s in layer), (a, n)
+            assert (missing == 0) == (layer == described), (a, n)
+            assert missing == len(described - layer), (a, n)
+            anchor = anchor or (n if anchored else 0)
+            if anchor and n == anchor + 2:
+                break
+        _, min_summands, gaps = cached_brute_profile(elements)
+        reflected = tuple(sorted(b - x for x in elements))
+        assert tuple(summands) == min_summands, a
+        assert anchor == max(b - a.ell, *min_summands), a
+        _, _, profile = analysis.threshold_and_report()
+        assert profile == exceptional_profile(a), a
+        assert profile.gaps == gaps, a
+        assert analysis.reflected_gaps == cached_brute_profile(reflected)[2], a
+
+
+@st.composite
+def normalized_sets(draw, b_max=200):
+    b = draw(st.integers(2, b_max))
+    interior = draw(st.sets(st.integers(1, b - 1), max_size=min(5, b - 1)))
+    a = FiniteIntegerSet((0, *sorted(interior), b))
+    if not a.is_normalized:
+        a = FiniteIntegerSet((0, 1, *sorted(interior - {1}), b))
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(normalized_sets())
+@example(fis(0, 57, 182))
+@example(fis(0, 2, 3, 97, 140))
+def test_narrow_mask_count_equals_the_full_diff(a):
+    # the walk counts each layer on narrow masks; D(N) minus NA counts it in full
+    analysis = _analyze(a)
+    summands = [0] * (a.b - 1)
+    for n, sumset, anchored in analysis._walk(summands):
+        full_count = (analysis.description(n) & ~sumset).bit_count()
+        assert analysis._missing(n, sumset) == full_count, (a, n)
+        if anchored:
+            break
+    assert tuple(summands) == exceptional_profile(a).min_summands, a
+
+
 def test_witnesses_are_valid():
     for a in [fis(0, 1, 5, 6), fis(0, 1, 3, 4), fis(0, 1, 7, 8)]:
         for n_summands in range(1, a.b):
             report = check_structure(a, n_summands)
             sumset = n_fold_sumset(a, n_summands)
             top = a.b * n_summands
-            from stampset import exceptional_profile
-
             gaps = set(exceptional_profile(a).gaps)
             gaps_r = set(exceptional_profile(reflect(a)).gaps)
             for w in report.missing_witnesses:
