@@ -256,31 +256,39 @@ def _bit_list(bits: int) -> tuple[int, ...]:
     return tuple(compress(range(len(flags)), flags))
 
 
-def _first_members(elements: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
-    """The first step of a profile: first_reachable, F and the gap mask of E(A).
+def _first_members(elements: tuple[int, ...]) -> tuple[int, int]:
+    """The first step of a profile: F and the gap mask of E(A).
 
     ``elements`` are those of a normalized set A; F is the first members
     as one bitmask.  P(A) is closed under adding b, so n > 0 is its class's
     first member exactly when n is in P(A) and n - b is not: F is
-    P & ~(P << b) without 0.  Its b - 1 positions are read off one bin()
-    string.
+    P & ~(P << b) without 0.  Which class each member of F belongs to is
+    read only where it is wanted, by ``_first_positions``.
     """
     b = elements[-1]
     if b == 1:
-        return (), 0, 0
+        return 0, 0
     bound = (b - 1) ** 2
     semigroup = _semigroup_mask(elements, bound)
     first_mask = semigroup & ~(semigroup << b | 1)
     if first_mask.bit_count() != b - 1:  # impossible for a normalized set
         raise RuntimeError(f"some class mod {b} has no member below {bound}")
+    gap_mask = ((1 << (bound + 1)) - 1) & ~semigroup
+    return first_mask, gap_mask
+
+
+def _first_positions(first_mask: int, b: int) -> tuple[int, ...]:
+    """first_reachable from F: index a-1 holds the member of class a mod b.
+
+    The b - 1 positions of F are read off one bin() string.
+    """
     first = [0] * (b - 1)
     digits = bin(first_mask)[:1:-1]  # digit n is bit n
     n = digits.find("1")
     while n >= 0:
         first[n % b - 1] = n
         n = digits.find("1", n + 1)
-    gap_mask = ((1 << (bound + 1)) - 1) & ~semigroup
-    return tuple(first), first_mask, gap_mask
+    return tuple(first)
 
 
 def _clear_first_members(layer: int, pending: int, n_summands: int, summands: list[int]) -> int:
@@ -289,14 +297,12 @@ def _clear_first_members(layer: int, pending: int, n_summands: int, summands: li
     ``layer`` is NA, ``pending`` the part of F not reached below N, and
     ``summands[a-1]`` the count of class a.  Returns what is still pending.
     """
-    b = len(summands) + 1
     reached = layer & pending
     if reached:
+        b = len(summands) + 1
         for n in _iter_bits(reached):
             summands[n % b - 1] = n_summands
         pending ^= reached
-    if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
-        raise RuntimeError("minimal summand counts did not stabilize")
     return pending
 
 
@@ -306,13 +312,16 @@ def _min_summands(elements: tuple[int, ...], first_mask: int) -> tuple[int, ...]
     Clears F layer by layer; layers are cut at the largest first member,
     which leaves membership below it exact.
     """
-    summands = [0] * (elements[-1] - 1)
+    b = elements[-1]
+    summands = [0] * (b - 1)
     pending = first_mask
     layers = _iter_nfold(elements, pending.bit_length() - 1)
     for n_summands, mask in enumerate(layers, start=1):
         pending = _clear_first_members(mask, pending, n_summands, summands)
         if not pending:
             break
+        if n_summands >= b - 1:  # a first member needs at most b-1 summands
+            raise RuntimeError("minimal summand counts did not stabilize")
     return tuple(summands)
 
 
@@ -361,7 +370,7 @@ class ExceptionalProfile:
 def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     """Compute first_reachable, min_summands and the gap mask of E(A).
 
-    Two steps: ``_first_members`` reads the first member of every class and
+    Two steps: ``_first_members`` reads the first members, as a mask, and
     the gap mask off the semigroup mask, and ``_min_summands`` walks the
     layers NA until each first member has appeared.  Both work inside
     [0, (b-1)^2]: a minimal representative of a non-zero class never uses
@@ -371,9 +380,10 @@ def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     """
     _require_normalized(a_set)
     elements = a_set.elements
-    first, first_mask, gap_mask = _first_members(elements)
+    b = elements[-1]
+    first_mask, gap_mask = _first_members(elements)
     summands = _min_summands(elements, first_mask)
-    return ExceptionalProfile(elements[-1], first, summands, gap_mask)
+    return ExceptionalProfile(b, _first_positions(first_mask, b), summands, gap_mask)
 
 
 @dataclass(frozen=True)

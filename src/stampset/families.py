@@ -46,6 +46,14 @@ The printed side conditions (the ``gcd`` requirements and the sumset
 non-membership clauses) are all consequences of the shapes for normalized
 input, but they are checked computationally anyway so that each
 recognizer is a faithful transcription of its family's definition.
+
+Each failure recognizer tests its shape on the element tuple before it
+builds anything: ``F1`` needs ``|A| = b`` and ``G2`` needs ``|A| = b - 1``;
+``F2`` and ``G1`` need ``1`` in ``A`` and, from ``elements[2]`` up to ``b``,
+a run with no skip (``F2``) or exactly one (``G1``); ``G3`` and ``G4`` need
+``|A| = b - 2`` and their head followed by ``6``.  Almost every set fails
+these tests in a few comparisons.  Only a set of the right shape has its
+parameters read off and its side conditions checked.
 """
 
 from __future__ import annotations
@@ -90,37 +98,37 @@ class FamilyLabel:
         return tag + ("~" if self.reflected else "")
 
 
-def _complement(subject: FiniteIntegerSet) -> list[int]:
-    members = set(subject.elements)
-    return [x for x in range(subject.b + 1) if x not in members]
+def _first_skipped(elements: tuple[int, ...], start: int, value: int) -> int:
+    """The least value, counting up from ``value``, that elements[start:] skips.
+
+    The caller has checked by length that the run skips something below b.
+    """
+    for x in elements[start:]:
+        if x != value:
+            break
+        value += 1
+    return value
 
 
 def _match_f1(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    b = subject.b
-    missing = _complement(subject)
-    if len(missing) == 1 and 2 <= missing[0] <= b - 2:
-        a = missing[0]
-        if a not in subject:
-            return [("F1", (("a", a),))]
-    return []
-
-
-def _tail_above_one(subject: FiniteIntegerSet) -> list[int] | None:
-    """Interior elements other than 1, provided 0, 1, b are all present."""
-    if 1 not in subject:
-        return None
-    return [x for x in subject.elements if x not in (0, 1, subject.b)]
+    elements = subject.elements
+    b = elements[-1]
+    if len(elements) != b:  # {0, ..., b} minus one element
+        return []
+    a = _first_skipped(elements, 0, 0)
+    if not 2 <= a <= b - 2:
+        return []
+    return [("F1", (("a", a),))]
 
 
 def _match_f2(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    b = subject.b
-    tail = _tail_above_one(subject)
-    if not tail:
+    elements = subject.elements
+    b = elements[-1]
+    # 0 and 1, then one run from elements[2] up to b
+    if len(elements) < 3 or elements[1] != 1 or b - elements[2] != len(elements) - 3:
         return []
-    a = tail[0] - 1
+    a = elements[2] - 1
     if not 2 <= a <= b - 2:
-        return []
-    if tail != list(range(a + 1, b)):
         return []
     if a in n_fold_sumset(subject, a - 1):
         return []
@@ -128,17 +136,15 @@ def _match_f2(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int
 
 
 def _match_g1(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    b = subject.b
-    tail = _tail_above_one(subject)
-    if not tail:
+    elements = subject.elements
+    b = elements[-1]
+    # 0 and 1, then a run from elements[2] up to b that skips one value
+    if len(elements) < 3 or elements[1] != 1 or b - elements[2] != len(elements) - 2:
         return []
-    a = tail[0] - 1
+    a = elements[2] - 1
     if not 2 <= a <= b - 2:
         return []
-    gaps = sorted(set(range(a + 1, b)) - set(tail))
-    if len(gaps) != 1:
-        return []
-    d = gaps[0]
+    d = _first_skipped(elements, 2, a + 1)
     if not a + 2 <= d <= b - 1:
         return []
     if a in n_fold_sumset(subject, a - 1):
@@ -147,14 +153,13 @@ def _match_g1(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int
 
 
 def _match_g2(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    b = subject.b
-    missing = _complement(subject)
-    if len(missing) != 2:
+    elements = subject.elements
+    b = elements[-1]
+    if len(elements) != b - 1:  # {0, ..., b} minus two elements
         return []
-    a, c = missing
+    a = _first_skipped(elements, 0, 0)
+    c = _first_skipped(elements, a, a + 1)
     if not (2 <= a <= b - 2 and 2 <= c <= b - 2):
-        return []
-    if a in subject or c in subject:
         return []
     return [("G2", (("a", a), ("c", c)))]
 
@@ -162,8 +167,9 @@ def _match_g2(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int
 def _match_fixed_head(
     subject: FiniteIntegerSet, head: tuple[int, ...], kind: str
 ) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    b = subject.b
-    if b < 6 or subject.elements != head + tuple(range(6, b + 1)):
+    elements = subject.elements
+    # b - 2 elements: the head (6 included), then a run up to b with no skip
+    if len(elements) != elements[-1] - 2 or elements[:4] != head:
         return []
     if 5 in n_fold_sumset(subject, 2):
         return []
@@ -176,8 +182,8 @@ _DELTA_TWO_MATCHERS = (
     _match_f2,
     _match_g1,
     _match_g2,
-    lambda s: _match_fixed_head(s, (0, 1, 2), "G3"),
-    lambda s: _match_fixed_head(s, (0, 1, 3), "G4"),
+    lambda s: _match_fixed_head(s, (0, 1, 2, 6), "G3"),
+    lambda s: _match_fixed_head(s, (0, 1, 3, 6), "G4"),
 )
 
 

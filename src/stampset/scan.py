@@ -43,7 +43,8 @@ step checks those against closed-form totals, so a lost or duplicated
 shard cannot go unnoticed.  Results carry each set's own mask and are
 sorted by (b, mask) after the merge, which makes reports byte-identical
 across worker counts.  Pool workers ignore Ctrl-C; the parent takes it,
-cancels the pending shards and shuts the pool down.
+cancels the pending shards and shuts the pool down.  The parent holds
+SIGINT back while it submits shards, since that is when workers start.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ import json
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator
@@ -269,8 +269,29 @@ def _scan_unit(
 
 
 def _ignore_interrupts() -> None:
-    """Pool initializer: Ctrl-C reaches the parent, which shuts the pool down."""
+    """Pool initializer: Ctrl-C reaches the parent, which shuts the pool down.
+
+    A worker starts with SIGINT blocked (see ``_map_units``); it ignores
+    the signal before unblocking it, so one sent meanwhile is dropped.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
+def _map_units(pool, unit_args: list[tuple]) -> list:
+    """``_scan_unit`` over the units on the pool, in order.
+
+    The first submit starts the workers and the pool's manager thread.
+    SIGINT is blocked while the units are submitted, so that neither a
+    worker that has not yet run ``_ignore_interrupts`` nor a half-started
+    pool takes it; a Ctrl-C sent meanwhile arrives once submission is done.
+    """
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        results = pool.map(_scan_unit, *zip(*unit_args))
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    return list(results)
 
 
 def _units_for(b: int, parallelism: int) -> list[tuple[int, int]]:
@@ -302,11 +323,12 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
         b_lo = max(b_lo, 9)
         ell_floor = max(ell_floor, 5)
 
-    pool = (
-        ProcessPoolExecutor(config.parallelism, initializer=_ignore_interrupts)
-        if config.parallelism > 1
-        else None
-    )
+    pool = None
+    if config.parallelism > 1:
+        # imported here: a one-worker scan never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(config.parallelism, initializer=_ignore_interrupts)
     try:
         for b in range(b_lo, b_hi + 1):
             started = time.perf_counter()
@@ -319,7 +341,7 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
             if pool is None:
                 outcomes = [_scan_unit(*args) for args in unit_args]
             else:
-                outcomes = list(pool.map(_scan_unit, *zip(*unit_args)))
+                outcomes = _map_units(pool, unit_args)
 
             analyzed = skipped = mask_sum = 0
             for unit_analyzed, unit_skipped, unit_mask_sum, fails, mismatches in outcomes:

@@ -16,10 +16,13 @@ together with all multiples of b in [0, bN].  NA is always contained in
 the description; the question is for which N the two agree.
 
 Every entry point reads one per-set analysis: the first members and gap
-masks of A and of b-A.  The mask of E(b-A) is bit-reversed once, so one
-shift places each gap g at bN - g.  One walk over the layers NA does the
-rest, building each layer once.  A layer clears the first members of A
-it reaches, which gives A's minimal summand counts, and is checked
+masks of A and of b-A, as masks; which class each first member belongs
+to is read only by the readers that print or compare it.  The mask of
+E(b-A) is bit-reversed once, so one shift places each gap g at bN - g.
+One walk over the layers NA does the rest, building each layer once from
+the one before.  A layer clears the first members of A it reaches (the
+threshold and report record A's minimal summand counts on the way; the
+scan's failures need only know when none is left), and is checked
 against D(N) without building it: the gaps of A against the bottom of
 the layer, the mirrored gaps of b-A against its top, and one count of NA
 against |D(N)| = bN + 1 - |gaps inside [0, bN]|, counted on the narrow
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 from .core import (
@@ -49,6 +52,7 @@ from .core import (
     _bit_list,
     _clear_first_members,
     _first_members,
+    _first_positions,
     _iter_bits,
     _iter_nfold,
     _require_normalized,
@@ -96,10 +100,9 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class _FirstMembers:
-    """The first step of A's profile: each class's first member, F (those
-    members as one mask) and the gap mask of E(A)."""
+    """The first step of A's profile: F (each class's first member, as one
+    mask) and the gap mask of E(A)."""
 
-    first_reachable: tuple[int, ...]
     first_mask: int
     gap_mask: int
 
@@ -109,17 +112,24 @@ class _Analysis:
     """The first members of A and of b-A, and what entry points read off A's layers.
 
     ``profile`` is the first step of A's profile; the summand counts come
-    from the one walk over A's layers (``_walk``).  ``mirrored`` is the gap
-    mask of b-A reversed over [0, mirror_width], where mirror_width is its
-    largest gap (-1 without gaps): gap g sits at bit mirror_width - g, so a
-    shift by bN - mirror_width moves it to bN - g.
+    from the one walk over A's layers (``_walk``).  ``reflected_mask`` is F
+    of b-A.  The class of each first member is read only by the readers
+    that want it.  ``mirrored`` is the gap mask of b-A reversed over
+    [0, mirror_width], where mirror_width is its largest gap (-1 without
+    gaps): gap g sits at bit mirror_width - g, so a shift by
+    bN - mirror_width moves it to bN - g.
     """
 
     a_set: FiniteIntegerSet
     profile: _FirstMembers
-    reflected_first: tuple[int, ...]
+    reflected_mask: int
     mirrored: int
     mirror_width: int
+
+    @property
+    def reflected_first(self) -> tuple[int, ...]:
+        """first_reachable of b-A."""
+        return _first_positions(self.reflected_mask, self.a_set.b)
 
     @property
     def reflected_gaps(self) -> tuple[int, ...]:
@@ -168,19 +178,34 @@ class _Analysis:
         cut = gap_count + mirror_count - overlap.bit_count()
         return top + 1 - cut - sumset.bit_count()
 
-    def _walk(self, summands: list[int]) -> Iterator[tuple[int, int, bool]]:
-        """(N, NA, anchored) for N = 1, 2, ..., each layer built once.
+    def _walk(self, summands: list[int] | None = None) -> Iterator[tuple[int, int, bool]]:
+        """(N, NA, anchored) for N = 1, 2, ..., each layer built once, in one frame.
 
-        Every layer clears the first members it reaches, which fills
-        ``summands``; the readers check the layers they need with
-        ``_missing``.  ``anchored`` holds from the anchor on: the first
-        N >= b - ell at which no first member is still pending, so that
-        N >= max(b - ell, max_summands).
+        Since 0 is in A, NA contains (N-1)A, so each layer is the one
+        before, or-ed with its shifts by the non-zero elements.  Every
+        layer clears the first members it reaches from F: as a mask, or,
+        with ``summands`` given, recording N for each of them in
+        ``summands`` (index a-1 for class a).  The readers check the layers
+        they need with ``_missing``.  ``anchored`` holds from the anchor
+        on: the first N >= b - ell at which no first member is still
+        pending, so that N >= max(b - ell, max_summands).
         """
-        floor = self.a_set.b - self.a_set.ell
+        elements = self.a_set.elements
+        b, shifts = elements[-1], elements[1:]
+        floor = b - self.a_set.ell
         pending = self.profile.first_mask
-        for n_summands, sumset in enumerate(_iter_nfold(self.a_set.elements), start=1):
-            pending = _clear_first_members(sumset, pending, n_summands, summands)
+        sumset = 1
+        for n_summands in count(1):
+            layer = sumset
+            for a in shifts:
+                layer |= sumset << a
+            sumset = layer
+            if summands is None:
+                pending &= ~sumset
+            else:
+                pending = _clear_first_members(sumset, pending, n_summands, summands)
+            if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
+                raise RuntimeError("minimal summand counts did not stabilize")
             yield n_summands, sumset, n_summands >= floor and not pending
 
     def _report(
@@ -200,8 +225,7 @@ class _Analysis:
     def report(self, n_summands: int, witness_cap: int) -> StructureReport:
         """NA against D(N) at one N."""
         _check_request(n_summands, witness_cap)
-        layers = self._walk([0] * (self.a_set.b - 1))
-        _, sumset, _ = next(islice(layers, n_summands - 1, None))
+        _, sumset, _ = next(islice(self._walk(), n_summands - 1, None))
         missing = self._missing(n_summands, sumset)
         return self._report(n_summands, sumset, missing, witness_cap)
 
@@ -210,7 +234,8 @@ class _Analysis:
     ) -> tuple[int, list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]:
         """The anchor, and every N from n_lo to the anchor where the description is strict.
 
-        The layers from n_lo to the anchor are checked.  Each failure is
+        The layers from n_lo to the anchor are checked; the walk clears F as
+        a mask and records no summand counts.  Each failure is
         (N, missing count, witnesses of A, witnesses of b-A).  Since n lies
         in NA exactly when bN - n lies in N(b-A), b-A fails at the same N
         with the same count, and its witnesses are bN - w for the largest
@@ -218,7 +243,7 @@ class _Analysis:
         """
         b = self.a_set.b
         found = []
-        for n, sumset, anchored in self._walk([0] * (b - 1)):
+        for n, sumset, anchored in self._walk():
             missing = self._missing(n, sumset) if n >= n_lo else 0
             if missing:
                 diff = self.description(n) & ~sumset
@@ -259,9 +284,9 @@ class _Analysis:
                 f"description fails at the anchor N={anchor} for {self.a_set}; "
                 "this contradicts the threshold theorem and indicates a bug"
             )
-        first = self.profile
+        b, first = self.a_set.b, self.profile
         profile = ExceptionalProfile(
-            self.a_set.b, first.first_reachable, tuple(summands), first.gap_mask
+            b, _first_positions(first.first_mask, b), tuple(summands), first.gap_mask
         )
         return last_bad + 1, report, profile
 
@@ -295,10 +320,10 @@ def _analyze(a_set: FiniteIntegerSet, mirror: FiniteIntegerSet | None = None) ->
     _require_normalized(a_set)
     if mirror is None:
         mirror = reflect(a_set)
-    first_r, _, gaps_r = _first_members(mirror.elements)
-    mirrored = _reverse_bits(gaps_r, gaps_r.bit_length())
+    first_r, gaps_r = _first_members(mirror.elements)
+    width = gaps_r.bit_length()
     first = _FirstMembers(*_first_members(a_set.elements))
-    return _Analysis(a_set, first, first_r, mirrored, gaps_r.bit_length() - 1)
+    return _Analysis(a_set, first, first_r, _reverse_bits(gaps_r, width), width - 1)
 
 
 def check_structure(

@@ -95,3 +95,38 @@ def brute_layers(elements):
     while True:
         layer = {r + a for r in layer for a in elements}
         yield layer
+
+
+def brute_catalog(b, delta):
+    """The failure catalog for top element b, read literally off the
+    ``families`` module docstring.
+
+    Maps each cataloged set (a frozenset) to its (kind, parameters)
+    entries in catalog order.  Every shape is built from its parameters
+    as set algebra inside {0, ..., b}, and the sumset clauses are tested
+    with brute_nfold.  delta 1 lists F1 and F2; delta 2 adds G1 to G4.
+    """
+    full = set(range(b + 1))
+    shapes = []
+    for a in range(2, b - 1):  # F1: {0, ..., b} minus {a}
+        shapes.append(("F1", (("a", a),), full - {a}))
+    for a in range(2, b - 1):  # F2: {0, 1, a+1, ..., b}
+        shapes.append(("F2", (("a", a),), {0, 1} | set(range(a + 1, b + 1))))
+    if delta == 2:
+        for a in range(2, b - 1):  # G1: {0, 1, b} with {a+1, ..., b-1} minus {d}
+            for d in range(a + 2, b):
+                shape = ({0, 1, b} | set(range(a + 1, b))) - {d}
+                if a not in brute_nfold(sorted(shape), a - 1):
+                    shapes.append(("G1", (("a", a), ("d", d)), shape))
+        for a in range(2, b - 1):  # G2: {0, ..., b} minus {a, c}
+            for c in range(a + 1, b - 1):
+                shapes.append(("G2", (("a", a), ("c", c)), full - {a, c}))
+        if b >= 6:  # G3 and G4: a head, then {6, ..., b}
+            for kind, head in (("G3", {0, 1, 2}), ("G4", {0, 1, 3})):
+                shape = head | set(range(6, b + 1))
+                if 5 not in brute_nfold(sorted(shape), 2):
+                    shapes.append((kind, (), shape))
+    catalog = {}
+    for kind, parameters, shape in shapes:
+        catalog.setdefault(frozenset(shape), []).append((kind, parameters))
+    return catalog

@@ -176,7 +176,7 @@ def test_first_members_step_matches_the_full_profile():
     from itertools import combinations
     from random import Random
 
-    from stampset.core import _first_members
+    from stampset.core import _first_members, _first_positions
 
     every_reflected = [
         reflect(a)
@@ -195,7 +195,8 @@ def test_first_members_step_matches_the_full_profile():
             random_sets.append(a)
     for a in every_reflected + random_sets:
         prof = exceptional_profile(a)
-        first, first_mask, gap_mask = _first_members(a.elements)
+        first_mask, gap_mask = _first_members(a.elements)
+        first = _first_positions(first_mask, a.b)
         assert first == prof.first_reachable, a
         assert gap_mask == prof.gap_mask, a
         assert first_mask == sum(1 << n for n in first), a

@@ -16,6 +16,8 @@ from stampset.core import reflect
 from stampset.scan import ScanConfig, scan_theorems
 from stampset.verifier import all_n_criterion, check_structure, min_threshold
 
+from oracles import brute_catalog
+
 
 def fis(*values: int) -> FiniteIntegerSet:
     return FiniteIntegerSet(tuple(values))
@@ -95,6 +97,29 @@ def test_reflected_labels_are_the_labels_of_the_mirror(delta):
     for a in every_normalized(range(2, 15)):
         mirrored = reflect_labels(classify_exceptional_family(a, delta))
         assert mirrored == classify_exceptional_family(reflect(a), delta), a
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_classifier_is_the_printed_catalog(delta):
+    # every normalized set with b <= 14 against the docstring's set algebra,
+    # read on A (own labels) and on b - A (reflected labels)
+    labeled = 0
+    for b in range(2, 15):
+        catalog = brute_catalog(b, delta)
+        for a in every_normalized(range(b, b + 1)):
+            mirror = frozenset(b - x for x in a.elements)
+            expected = tuple(
+                (kind, parameters, reflected)
+                for side, reflected in ((frozenset(a.elements), False), (mirror, True))
+                for kind, parameters in catalog.get(side, ())
+            )
+            got = tuple(
+                (label.kind, label.parameters, label.reflected)
+                for label in classify_exceptional_family(a, delta)
+            )
+            assert got == expected, a
+            labeled += bool(expected)
+    assert labeled > 100  # the sweep reached the catalog
 
 
 def test_classify_validates_input():

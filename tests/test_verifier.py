@@ -14,6 +14,7 @@ from stampset import (
     n_fold_sumset,
     reflect,
 )
+from stampset.core import _min_summands
 from stampset.errors import InvalidResidueError
 from stampset.verifier import (
     _analyze,
@@ -128,6 +129,15 @@ def test_theorem_checks_raise_on_a_corrupted_profile():
         escaping.threshold_and_report(2, 1)
     with pytest.raises(RuntimeError, match="description fails at the anchor N=4"):
         gapless.threshold_and_report(9, 1)
+    # a first member no layer reaches (the gap 1) stops every walk at N = b - 1
+    first_mask = analysis.profile.first_mask | 1 << 1
+    unreached = replace(analysis, profile=replace(analysis.profile, first_mask=first_mask))
+    with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
+        unreached.failures(1, 1)
+    with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
+        unreached.threshold_and_report()
+    with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
+        _min_summands((0, 3, 5), first_mask)
 
 
 def test_escape_check_covers_the_top_of_the_layer():
@@ -167,6 +177,27 @@ def test_walk_matches_brute_force_layers_and_profiles():
         assert profile == exceptional_profile(a), a
         assert profile.gaps == gaps, a
         assert analysis.reflected_gaps == cached_brute_profile(reflected)[2], a
+
+
+def test_anchor_of_the_count_free_walk():
+    # failures reads no summand counts, yet stops where the counts would
+    for a in every_normalized(12):
+        _, min_summands, _ = cached_brute_profile(a.elements)
+        analysis = _analyze(a)
+        anchor, _ = analysis.failures(1, 1)
+        assert anchor == max(a.b - a.ell, *min_summands), a
+        # the last layer the threshold walk yields is its anchor
+        reached = []
+        walk = analysis._walk
+
+        def recording_walk(*args):
+            for layer in walk(*args):
+                reached.append(layer[0])
+                yield layer
+
+        object.__setattr__(analysis, "_walk", recording_walk)
+        analysis.threshold_and_report()
+        assert reached[-1] == anchor, a
 
 
 @st.composite
