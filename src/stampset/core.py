@@ -30,13 +30,15 @@ below first_reachable[a].
 
 Sets of reachable sums are held as Python integers used as bitmasks
 (bit n set <=> n reachable), so one shift-or applies a summand to every
-partial sum at once.
+partial sum at once.  The layers NA of a normalized set come from one
+walk, ``_walk``, which also reads off when each first member appears:
+the profile's min_summands and every reader in ``verifier`` go over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, count, islice
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -176,6 +178,11 @@ def _require_normalized(a_set: FiniteIntegerSet) -> None:
         raise InvalidSetError(f"set {a_set} is not normalized (min 0, gcd 1)")
 
 
+def _require_summands(n_summands: int) -> None:
+    if n_summands < 1:
+        raise ValueError(f"number of summands must be >= 1, got {n_summands}")
+
+
 @dataclass(frozen=True)
 class ReachabilityMask:
     """A set of integers inside [0, bound], packed into one bitmask int."""
@@ -217,8 +224,7 @@ def _iter_nfold(elements: tuple[int, ...], bit_limit: int | None = None) -> Iter
 
 def n_fold_sumset(a_set: FiniteIntegerSet, n_summands: int) -> ReachabilityMask:
     """The exact N-fold sumset NA as a mask over [0, b*N]."""
-    if n_summands < 1:
-        raise ValueError(f"number of summands must be >= 1, got {n_summands}")
+    _require_summands(n_summands)
     mask = next(islice(_iter_nfold(a_set.elements), n_summands - 1, None))
     return ReachabilityMask(a_set.b * n_summands, mask)
 
@@ -291,38 +297,35 @@ def _first_positions(first_mask: int, b: int) -> tuple[int, ...]:
     return tuple(first)
 
 
-def _clear_first_members(layer: int, pending: int, n_summands: int, summands: list[int]) -> int:
-    """One step of the summand counts: record N for the first members in NA.
+def _walk(
+    elements: tuple[int, ...], first_mask: int, summands: list[int] | None = None
+) -> Iterator[tuple[int, int, int]]:
+    """(N, NA, pending) for N = 1, 2, ..., each layer built once, in one frame.
 
-    ``layer`` is NA, ``pending`` the part of F not reached below N, and
-    ``summands[a-1]`` the count of class a.  Returns what is still pending.
+    ``elements`` are those of a normalized set A and ``first_mask`` its F.
+    Since 0 is in A, NA contains (N-1)A, so each layer is the one before,
+    or-ed with its shifts by the non-zero elements.  Every layer clears the
+    first members it reaches from F, and ``pending`` is what is left; with
+    ``summands`` given it also records N for each of them in ``summands``
+    (index a-1 for class a), their minimal summand counts.
     """
-    reached = layer & pending
-    if reached:
-        b = len(summands) + 1
-        for n in _iter_bits(reached):
-            summands[n % b - 1] = n_summands
-        pending ^= reached
-    return pending
-
-
-def _min_summands(elements: tuple[int, ...], first_mask: int) -> tuple[int, ...]:
-    """The second step of a profile: the layer NA in which each first member appears.
-
-    Clears F layer by layer; layers are cut at the largest first member,
-    which leaves membership below it exact.
-    """
-    b = elements[-1]
-    summands = [0] * (b - 1)
+    b, shifts = elements[-1], elements[1:]
     pending = first_mask
-    layers = _iter_nfold(elements, pending.bit_length() - 1)
-    for n_summands, mask in enumerate(layers, start=1):
-        pending = _clear_first_members(mask, pending, n_summands, summands)
-        if not pending:
-            break
-        if n_summands >= b - 1:  # a first member needs at most b-1 summands
+    sumset = 1
+    for n_summands in count(1):
+        layer = sumset
+        for a in shifts:
+            layer |= sumset << a
+        sumset = layer
+        reached = sumset & pending
+        if reached:
+            pending ^= reached
+            if summands is not None:
+                for n in _iter_bits(reached):
+                    summands[n % b - 1] = n_summands
+        if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
             raise RuntimeError("minimal summand counts did not stabilize")
-    return tuple(summands)
+        yield n_summands, sumset, pending
 
 
 @dataclass(frozen=True)
@@ -371,8 +374,8 @@ def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     """Compute first_reachable, min_summands and the gap mask of E(A).
 
     Two steps: ``_first_members`` reads the first members, as a mask, and
-    the gap mask off the semigroup mask, and ``_min_summands`` walks the
-    layers NA until each first member has appeared.  Both work inside
+    the gap mask off the semigroup mask, and ``_walk`` goes over the layers
+    NA until each first member has appeared.  The first step works inside
     [0, (b-1)^2]: a minimal representative of a non-zero class never uses
     the summand b (dropping it would yield a smaller member of the same
     class) and needs at most b-1 summands, each at most b-1, so every
@@ -382,8 +385,11 @@ def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     elements = a_set.elements
     b = elements[-1]
     first_mask, gap_mask = _first_members(elements)
-    summands = _min_summands(elements, first_mask)
-    return ExceptionalProfile(b, _first_positions(first_mask, b), summands, gap_mask)
+    summands = [0] * (b - 1)
+    for _, _, pending in _walk(elements, first_mask, summands):
+        if not pending:
+            break
+    return ExceptionalProfile(b, _first_positions(first_mask, b), tuple(summands), gap_mask)
 
 
 @dataclass(frozen=True)
@@ -407,8 +413,7 @@ def represent(n: int, a_set: FiniteIntegerSet, n_summands: int) -> Representatio
     each step takes the smallest element that still leaves a representable
     remainder.
     """
-    if n_summands < 1:
-        raise ValueError(f"number of summands must be >= 1, got {n_summands}")
+    _require_summands(n_summands)
     if n < 0 or n > a_set.b * n_summands:
         raise NotRepresentableError(
             f"{n} is not a sum of {n_summands} elements of {a_set}"

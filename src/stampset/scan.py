@@ -58,9 +58,9 @@ import signal
 import time
 from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .core import FiniteIntegerSet, _iter_bits, _known_set, _reverse_bits, _set_str, reflect
+from .core import FiniteIntegerSet, _bit_list, _known_set, _reverse_bits, _set_str, reflect
 from .errors import CatalogMismatchError
 from .families import _classify, reflect_labels
 from .verifier import DEFAULT_WITNESS_CAP, _analyze
@@ -143,13 +143,13 @@ class _Tally:
 
 
 def _walk_sets(
-    b: int, mask_lo: int, mask_hi: int, ell_lo: int, ell_hi: int, tally: _Tally
+    b: int, masks: Iterable[int], ell_lo: int, ell_hi: int, tally: _Tally
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (mask, elements) for each normalized set with endpoints 0 and b
-    whose interior mask lies in [mask_lo, mask_hi) and size in [ell_lo, ell_hi]."""
-    for mask in range(mask_lo, mask_hi):
+    whose interior mask is one of ``masks`` and size in [ell_lo, ell_hi]."""
+    for mask in masks:
         tally.mask_sum += mask
-        interior = tuple(j + 1 for j in _iter_bits(mask))
+        interior = _bit_list(mask << 1)  # bit j of the mask stands for element j + 1
         if not ell_lo <= len(interior) <= ell_hi:
             continue
         if gcd(b, *interior) != 1:
@@ -174,16 +174,12 @@ def enumerate_sets(
         raise ValueError(f"modulus must be at least 2, got {b}")
     lo = 0 if ell_min is None else ell_min
     hi = b - 1 if ell_max is None else ell_max
-    if lo <= 0 and hi >= b - 1:
-        for _, elements in _walk_sets(b, 0, 1 << (b - 1), lo, hi, _Tally()):
-            yield FiniteIntegerSet(elements)
-        return
-    # a narrowed window: only the masks of each wanted size, merged
-    sized = (_masks_of_size(ell, b - 1) for ell in range(max(lo, 0), hi + 1))
-    for mask in heapq.merge(*sized):
-        interior = tuple(j + 1 for j in _iter_bits(mask))
-        if gcd(b, *interior) == 1:
-            yield FiniteIntegerSet((0, *interior, b))
+    masks: Iterable[int] = range(1 << (b - 1))
+    if lo > 0 or hi < b - 1:  # only the masks of each wanted size, merged
+        sized = (_masks_of_size(ell, b - 1) for ell in range(max(lo, 0), hi + 1))
+        masks = heapq.merge(*sized)
+    for _, elements in _walk_sets(b, masks, lo, hi, _Tally()):
+        yield FiniteIntegerSet(elements)
 
 
 def _masks_of_size(size: int, width: int) -> Iterator[int]:
@@ -219,7 +215,7 @@ def _scan_unit(
     tally = _Tally()
     failures = []
     mismatches = []
-    for mask, elements in _walk_sets(b, mask_lo, mask_hi, ell_lo, ell_hi, tally):
+    for mask, elements in _walk_sets(b, range(mask_lo, mask_hi), ell_lo, ell_hi, tally):
         mirror_mask = _reverse_bits(mask, b - 1)
         if mirror_mask < mask:
             continue  # emitted by the shard holding its mirror

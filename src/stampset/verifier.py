@@ -19,17 +19,18 @@ Every entry point reads one per-set analysis: the first members and gap
 masks of A and of b-A, as masks; which class each first member belongs
 to is read only by the readers that print or compare it.  The mask of
 E(b-A) is bit-reversed once, so one shift places each gap g at bN - g.
-One walk over the layers NA does the rest, building each layer once from
-the one before.  A layer clears the first members of A it reaches (the
-threshold and report record A's minimal summand counts on the way; the
-scan's failures need only know when none is left), and is checked
-against D(N) without building it: the gaps of A against the bottom of
-the layer, the mirrored gaps of b-A against its top, and one count of NA
-against |D(N)| = bN + 1 - |gaps inside [0, bN]|, counted on the narrow
-gap masks.  D(N) itself, and D(N) minus NA, are built only at failing
-layers whose witnesses are wanted.  The walk stops at the anchor, the
-first N >= b - ell at which every first member has appeared, or at a
-requested N beyond it.  Facts this module relies on:
+The one walk over the layers NA, ``core._walk``, does the rest: each
+reader goes over it and folds what it needs.  A layer clears the first
+members of A it reaches (the threshold and report record A's minimal
+summand counts on the way; the scan's failures need only know when none
+is pending), and is checked against D(N) without building it: the gaps
+of A against the bottom of the layer, the mirrored gaps of b-A against
+its top, and one count of NA against |D(N)| = bN + 1 - |gaps inside
+[0, bN]|, counted on the narrow gap masks.  D(N) itself, and D(N) minus
+NA, are built only at failing layers whose witnesses are wanted.  A
+reader stops at the anchor, the first N >= b - ell at which no first
+member is pending, or at a requested N beyond it.  Facts this module
+relies on:
 
   * the description holds for every N >= b - ell (ell = interior count);
   * if it holds at an anchor N0 at least as large as every per-class
@@ -43,20 +44,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
-from typing import Iterator
+from itertools import islice
 
 from .core import (
     ExceptionalProfile,
     FiniteIntegerSet,
     _bit_list,
-    _clear_first_members,
     _first_members,
     _first_positions,
     _iter_bits,
     _iter_nfold,
     _require_normalized,
+    _require_summands,
     _reverse_bits,
+    _walk,
     exceptional_profile,
     reflect,
 )
@@ -99,29 +100,22 @@ class StructureReport:
 
 
 @dataclass(frozen=True)
-class _FirstMembers:
-    """The first step of A's profile: F (each class's first member, as one
-    mask) and the gap mask of E(A)."""
-
-    first_mask: int
-    gap_mask: int
-
-
-@dataclass(frozen=True)
 class _Analysis:
     """The first members of A and of b-A, and what entry points read off A's layers.
 
-    ``profile`` is the first step of A's profile; the summand counts come
-    from the one walk over A's layers (``_walk``).  ``reflected_mask`` is F
-    of b-A.  The class of each first member is read only by the readers
-    that want it.  ``mirrored`` is the gap mask of b-A reversed over
-    [0, mirror_width], where mirror_width is its largest gap (-1 without
-    gaps): gap g sits at bit mirror_width - g, so a shift by
+    ``first_mask`` and ``gap_mask`` are F and the gap mask of A, the first
+    step of its profile; its summand counts come from the one walk over
+    A's layers, ``core._walk``, which every reader goes over itself.
+    ``reflected_mask`` is F of b-A.  The class of each first member is read
+    only by the readers that want it.  ``mirrored`` is the gap mask of b-A
+    reversed over [0, mirror_width], where mirror_width is its largest gap
+    (-1 without gaps): gap g sits at bit mirror_width - g, so a shift by
     bN - mirror_width moves it to bN - g.
     """
 
     a_set: FiniteIntegerSet
-    profile: _FirstMembers
+    first_mask: int
+    gap_mask: int
     reflected_mask: int
     mirrored: int
     mirror_width: int
@@ -139,14 +133,14 @@ class _Analysis:
     @cached_property
     def _gap_counts(self) -> tuple[int, int]:
         """|E(A)| and |E(b-A)|."""
-        return self.profile.gap_mask.bit_count(), self.mirrored.bit_count()
+        return self.gap_mask.bit_count(), self.mirrored.bit_count()
 
     def description(self, n_summands: int) -> int:
         """D(N) over [0, bN], built only where witnesses are wanted."""
         top = self.a_set.b * n_summands
         shift = top - self.mirror_width
         mirrored = self.mirrored << shift if shift >= 0 else self.mirrored >> -shift
-        return ((1 << (top + 1)) - 1) & ~(self.profile.gap_mask | mirrored)
+        return ((1 << (top + 1)) - 1) & ~(self.gap_mask | mirrored)
 
     def _missing(self, n_summands: int, sumset: int) -> int:
         """|D(N)| - |NA|, after checking that NA (``sumset``) lies inside D(N).
@@ -157,7 +151,7 @@ class _Analysis:
         inside [0, bN], counted on those masks.
         """
         top = self.a_set.b * n_summands
-        gaps, mirrored = self.profile.gap_mask, self.mirrored
+        gaps, mirrored = self.gap_mask, self.mirrored
         gap_count, mirror_count = self._gap_counts
         shift = top - self.mirror_width  # where bit 0 of ``mirrored`` lands
         if shift >= 0:
@@ -178,36 +172,6 @@ class _Analysis:
         cut = gap_count + mirror_count - overlap.bit_count()
         return top + 1 - cut - sumset.bit_count()
 
-    def _walk(self, summands: list[int] | None = None) -> Iterator[tuple[int, int, bool]]:
-        """(N, NA, anchored) for N = 1, 2, ..., each layer built once, in one frame.
-
-        Since 0 is in A, NA contains (N-1)A, so each layer is the one
-        before, or-ed with its shifts by the non-zero elements.  Every
-        layer clears the first members it reaches from F: as a mask, or,
-        with ``summands`` given, recording N for each of them in
-        ``summands`` (index a-1 for class a).  The readers check the layers
-        they need with ``_missing``.  ``anchored`` holds from the anchor
-        on: the first N >= b - ell at which no first member is still
-        pending, so that N >= max(b - ell, max_summands).
-        """
-        elements = self.a_set.elements
-        b, shifts = elements[-1], elements[1:]
-        floor = b - self.a_set.ell
-        pending = self.profile.first_mask
-        sumset = 1
-        for n_summands in count(1):
-            layer = sumset
-            for a in shifts:
-                layer |= sumset << a
-            sumset = layer
-            if summands is None:
-                pending &= ~sumset
-            else:
-                pending = _clear_first_members(sumset, pending, n_summands, summands)
-            if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
-                raise RuntimeError("minimal summand counts did not stabilize")
-            yield n_summands, sumset, n_summands >= floor and not pending
-
     def _report(
         self, n_summands: int, sumset: int, missing: int, witness_cap: int
     ) -> StructureReport:
@@ -225,7 +189,8 @@ class _Analysis:
     def report(self, n_summands: int, witness_cap: int) -> StructureReport:
         """NA against D(N) at one N."""
         _check_request(n_summands, witness_cap)
-        _, sumset, _ = next(islice(self._walk(), n_summands - 1, None))
+        layers = _walk(self.a_set.elements, self.first_mask)
+        _, sumset, _ = next(islice(layers, n_summands - 1, None))
         missing = self._missing(n_summands, sumset)
         return self._report(n_summands, sumset, missing, witness_cap)
 
@@ -241,9 +206,9 @@ class _Analysis:
         with the same count, and its witnesses are bN - w for the largest
         missing w of A.
         """
-        b = self.a_set.b
+        b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
         found = []
-        for n, sumset, anchored in self._walk():
+        for n, sumset, pending in _walk(self.a_set.elements, self.first_mask):
             missing = self._missing(n, sumset) if n >= n_lo else 0
             if missing:
                 diff = self.description(n) & ~sumset
@@ -251,7 +216,7 @@ class _Analysis:
                 found.append(
                     (n, missing, _witnesses(diff, witness_cap), _witnesses(mirror, witness_cap))
                 )
-            if anchored:
+            if n >= floor and not pending:
                 break
         return n, found
 
@@ -267,16 +232,17 @@ class _Analysis:
         """
         if n_summands is not None:
             _check_request(n_summands, witness_cap)
-        summands = [0] * (self.a_set.b - 1)
+        b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
+        summands = [0] * (b - 1)
         anchor = last_bad = 0
         report = None
-        for n, sumset, anchored in self._walk(summands):
+        for n, sumset, pending in _walk(self.a_set.elements, self.first_mask, summands):
             missing = self._missing(n, sumset) if not anchor or n == n_summands else 0
             if n == n_summands:
                 report = self._report(n, sumset, missing, witness_cap)
             if not anchor:
                 last_bad = n if missing else last_bad
-                anchor = n if anchored else 0
+                anchor = n if n >= floor and not pending else 0
             if anchor and n >= (n_summands or 0):
                 break
         if last_bad >= anchor:
@@ -284,15 +250,10 @@ class _Analysis:
                 f"description fails at the anchor N={anchor} for {self.a_set}; "
                 "this contradicts the threshold theorem and indicates a bug"
             )
-        b, first = self.a_set.b, self.profile
         profile = ExceptionalProfile(
-            b, _first_positions(first.first_mask, b), tuple(summands), first.gap_mask
+            b, _first_positions(self.first_mask, b), tuple(summands), self.gap_mask
         )
         return last_bad + 1, report, profile
-
-    def threshold(self) -> int:
-        """The least N0 >= 1 from which the description holds, scanning up to the anchor."""
-        return self.threshold_and_report()[0]
 
     def holds_for_all_n(self, profile: ExceptionalProfile) -> bool:
         """first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a) for every class a,
@@ -308,8 +269,7 @@ class _Analysis:
 def _check_request(n_summands: int, witness_cap: int) -> None:
     if witness_cap < 1:
         raise ValueError("witness_cap must be at least 1")
-    if n_summands < 1:
-        raise ValueError(f"number of summands must be >= 1, got {n_summands}")
+    _require_summands(n_summands)
 
 
 def _analyze(a_set: FiniteIntegerSet, mirror: FiniteIntegerSet | None = None) -> _Analysis:
@@ -322,8 +282,8 @@ def _analyze(a_set: FiniteIntegerSet, mirror: FiniteIntegerSet | None = None) ->
         mirror = reflect(a_set)
     first_r, gaps_r = _first_members(mirror.elements)
     width = gaps_r.bit_length()
-    first = _FirstMembers(*_first_members(a_set.elements))
-    return _Analysis(a_set, first, first_r, _reverse_bits(gaps_r, width), width - 1)
+    first, gaps = _first_members(a_set.elements)
+    return _Analysis(a_set, first, gaps, first_r, _reverse_bits(gaps_r, width), width - 1)
 
 
 def check_structure(
@@ -346,7 +306,7 @@ def min_threshold(a_set: FiniteIntegerSet) -> int:
     (which dominates every per-class minimal summand count) propagates to
     all larger N, so the scan range is sufficient.
     """
-    return _analyze(a_set).threshold()
+    return _analyze(a_set).threshold_and_report()[0]
 
 
 def all_n_criterion(a_set: FiniteIntegerSet) -> bool:

@@ -267,24 +267,26 @@ def test_kneser_respects_kmax(capsys):
     assert "k=3:" not in out
 
 
-def test_module_entry_point_subprocess():
+def test_module_entry_point_subprocess(package_env):
     completed = subprocess.run(
         [sys.executable, "-m", "stampset", "analyze", "0,3,5"],
         capture_output=True,
         text=True,
+        env=package_env,
         timeout=60,
     )
     assert completed.returncode == 0
     assert "E(A)   = {1,2,4,7}" in completed.stdout
 
 
-def test_scan_interrupt_shuts_the_pool_down_cleanly():
+def test_scan_interrupt_shuts_the_pool_down_cleanly(package_env):
     # Ctrl-C signals the whole foreground process group: parent and workers
     process = subprocess.Popen(
         [sys.executable, "-m", "stampset", "scan", "--bmax", "22", "--jobs", "2"],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
+        env=package_env,
         start_new_session=True,
     )
     try:

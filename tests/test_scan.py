@@ -65,6 +65,24 @@ def test_enumerate_narrowed_window_costs_what_it_yields():
     assert got == oracle
     full = [a for a in enumerate_sets(14) if 3 <= a.ell <= 5]
     assert list(enumerate_sets(14, 3, 5)) == full
+    # every window, open ends included, against the oracle in mask order
+    for b in range(2, 10):
+        ends = [None, *range(b)]
+        for ell_min in ends:
+            for ell_max in ends:
+                lo = 0 if ell_min is None else ell_min
+                hi = b - 1 if ell_max is None else ell_max
+                if lo > hi:
+                    continue
+                oracle = [
+                    (0, *interior, b)
+                    for size in range(lo, hi + 1)
+                    for interior in combinations(range(1, b), size)
+                    if gcd(b, *interior) == 1
+                ]
+                oracle.sort(key=lambda elements: sum(1 << (x - 1) for x in elements[1:-1]))
+                got = [a.elements for a in enumerate_sets(b, ell_min, ell_max)]
+                assert got == oracle, (b, ell_min, ell_max)
 
 
 def test_enumerate_rejects_tiny_modulus():

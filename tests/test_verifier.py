@@ -14,7 +14,8 @@ from stampset import (
     n_fold_sumset,
     reflect,
 )
-from stampset.core import _min_summands
+from stampset import verifier
+from stampset.core import _walk
 from stampset.errors import InvalidResidueError
 from stampset.verifier import (
     _analyze,
@@ -117,27 +118,27 @@ def test_check_structure_matches_oracle_exhaustively():
 def test_theorem_checks_raise_on_a_corrupted_profile():
     analysis = _analyze(fis(0, 3, 5))
     # 3 is a sum, so marking it a gap makes NA escape the description
-    escaping = replace(analysis, profile=replace(analysis.profile, gap_mask=1 << 3))
+    escaping = replace(analysis, gap_mask=1 << 3)
     with pytest.raises(RuntimeError, match="sumset escapes its description"):
         escaping.report(2, 1)
     # 1 is a gap; without it the description is strict at every N
-    gapless = replace(analysis, profile=replace(analysis.profile, gap_mask=0))
+    gapless = replace(analysis, gap_mask=0)
     with pytest.raises(RuntimeError, match="description fails at the anchor N=4"):
-        gapless.threshold()
+        gapless.threshold_and_report()
     # the same checks on the one walk that gives analyze its threshold and report
     with pytest.raises(RuntimeError, match="sumset escapes its description"):
         escaping.threshold_and_report(2, 1)
     with pytest.raises(RuntimeError, match="description fails at the anchor N=4"):
         gapless.threshold_and_report(9, 1)
     # a first member no layer reaches (the gap 1) stops every walk at N = b - 1
-    first_mask = analysis.profile.first_mask | 1 << 1
-    unreached = replace(analysis, profile=replace(analysis.profile, first_mask=first_mask))
+    first_mask = analysis.first_mask | 1 << 1
+    unreached = replace(analysis, first_mask=first_mask)
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
         unreached.failures(1, 1)
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
         unreached.threshold_and_report()
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
-        _min_summands((0, 3, 5), first_mask)
+        list(_walk((0, 3, 5), first_mask))
 
 
 def test_escape_check_covers_the_top_of_the_layer():
@@ -156,8 +157,8 @@ def test_walk_matches_brute_force_layers_and_profiles():
         analysis = _analyze(a)
         summands = [0] * (b - 1)
         anchor = 0
-        walk = zip(analysis._walk(summands), brute_layers(elements))
-        for (n, sumset, anchored), layer in walk:
+        walk = zip(_walk(elements, analysis.first_mask, summands), brute_layers(elements))
+        for (n, sumset, pending), layer in walk:
             missing = analysis._missing(n, sumset)
             if n <= 2:
                 assert layer == brute_nfold(elements, n)
@@ -166,7 +167,7 @@ def test_walk_matches_brute_force_layers_and_profiles():
             assert sumset == sum(1 << s for s in layer), (a, n)
             assert (missing == 0) == (layer == described), (a, n)
             assert missing == len(described - layer), (a, n)
-            anchor = anchor or (n if anchored else 0)
+            anchor = anchor or (n if n >= b - a.ell and not pending else 0)
             if anchor and n == anchor + 2:
                 break
         _, min_summands, gaps = cached_brute_profile(elements)
@@ -179,7 +180,16 @@ def test_walk_matches_brute_force_layers_and_profiles():
         assert analysis.reflected_gaps == cached_brute_profile(reflected)[2], a
 
 
-def test_anchor_of_the_count_free_walk():
+def test_anchor_of_the_count_free_walk(monkeypatch):
+    # the layers the threshold walk yields, recorded by N
+    reached = []
+
+    def recording_walk(*args):
+        for layer in _walk(*args):
+            reached.append(layer[0])
+            yield layer
+
+    monkeypatch.setattr(verifier, "_walk", recording_walk)
     # failures reads no summand counts, yet stops where the counts would
     for a in every_normalized(12):
         _, min_summands, _ = cached_brute_profile(a.elements)
@@ -187,15 +197,7 @@ def test_anchor_of_the_count_free_walk():
         anchor, _ = analysis.failures(1, 1)
         assert anchor == max(a.b - a.ell, *min_summands), a
         # the last layer the threshold walk yields is its anchor
-        reached = []
-        walk = analysis._walk
-
-        def recording_walk(*args):
-            for layer in walk(*args):
-                reached.append(layer[0])
-                yield layer
-
-        object.__setattr__(analysis, "_walk", recording_walk)
+        reached.clear()
         analysis.threshold_and_report()
         assert reached[-1] == anchor, a
 
@@ -218,10 +220,10 @@ def test_narrow_mask_count_equals_the_full_diff(a):
     # the walk counts each layer on narrow masks; D(N) minus NA counts it in full
     analysis = _analyze(a)
     summands = [0] * (a.b - 1)
-    for n, sumset, anchored in analysis._walk(summands):
+    for n, sumset, pending in _walk(a.elements, analysis.first_mask, summands):
         full_count = (analysis.description(n) & ~sumset).bit_count()
         assert analysis._missing(n, sumset) == full_count, (a, n)
-        if anchored:
+        if n >= a.b - a.ell and not pending:
             break
     assert tuple(summands) == exceptional_profile(a).min_summands, a
 
