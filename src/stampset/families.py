@@ -22,8 +22,9 @@ Failure catalogs (:func:`classify_exceptional_family`):
 above ``N = b - ell - 1``; adding ``G1`` through ``G4`` gives the sets
 failing at or above ``N = b - ell - 2`` (for ``b >= 9`` and ``ell >= 5``).
 Both catalogs are closed under the question "is ``A`` *or* its reflection
-``b - A`` of this shape", so every recognizer runs on both and labels the
-mirror matches.
+``b - A`` of this shape", so every recognizer runs once on each, and
+those runs label both sets: a match on ``A`` is a reflected match of
+``b - A`` and vice versa.
 
 Sufficiency catalog (:func:`appendix_family_threshold`): six parametrized
 shapes with two or three nonzero elements below ``b`` whose thresholds
@@ -58,7 +59,7 @@ parameters read off and its side conditions checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd
 
 from .core import FiniteIntegerSet, _require_normalized, n_fold_sumset, reflect
@@ -66,7 +67,6 @@ from .core import FiniteIntegerSet, _require_normalized, n_fold_sumset, reflect
 __all__ = [
     "FamilyLabel",
     "classify_exceptional_family",
-    "reflect_labels",
     "appendix_family_threshold",
 ]
 
@@ -205,33 +205,31 @@ def classify_exceptional_family(
     _require_normalized(a_set)
     if delta not in (1, 2):
         raise ValueError(f"delta must be 1 or 2, got {delta}")
-    return _classify(a_set, reflect(a_set), delta)
+    return _classify(a_set, reflect(a_set), delta)[0]
 
 
 def _classify(
     a_set: FiniteIntegerSet, mirror: FiniteIntegerSet, delta: int
-) -> tuple[FamilyLabel, ...]:
-    """``classify_exceptional_family`` for a normalized A whose reflection
-    ``mirror`` the caller has built already."""
-    matchers = _DELTA_ONE_MATCHERS if delta == 1 else _DELTA_TWO_MATCHERS
-    labels = []
-    for subject, mirrored in ((a_set, False), (mirror, True)):
-        for matcher in matchers:
-            for kind, parameters in matcher(subject):
-                labels.append(FamilyLabel(kind, parameters, mirrored))
-    return tuple(labels)
+) -> tuple[tuple[FamilyLabel, ...], tuple[FamilyLabel, ...]]:
+    """The labels of a normalized A and of its reflection ``mirror``, which
+    the caller has built already, from one run of the recognizers on each.
 
-
-def reflect_labels(labels: tuple[FamilyLabel, ...]) -> tuple[FamilyLabel, ...]:
-    """The labels of b - A, read off ``classify_exceptional_family(A, delta)``.
-
-    A's own matches become the reflected ones of b - A and vice versa, so
-    the two runs swap places (own matches first, as the classifier lists
-    them) and every ``reflected`` flag flips.
+    Each side lists its own matches first; a match on one side is the
+    other side's reflected match.
     """
-    swapped = [label for label in labels if label.reflected]
-    swapped += [label for label in labels if not label.reflected]
-    return tuple(replace(label, reflected=not label.reflected) for label in swapped)
+    matchers = _DELTA_ONE_MATCHERS if delta == 1 else _DELTA_TWO_MATCHERS
+    on_a, on_mirror = (
+        [match for matcher in matchers for match in matcher(subject)]
+        for subject in (a_set, mirror)
+    )
+    return tuple(
+        tuple(
+            FamilyLabel(kind, parameters, reflected)
+            for reflected, matches in ((False, own), (True, other))
+            for kind, parameters in matches
+        )
+        for own, other in ((on_a, on_mirror), (on_mirror, on_a))
+    )
 
 
 # The sparse shapes of the module docstring, one row each, in the order

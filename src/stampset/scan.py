@@ -25,11 +25,11 @@ hard failure.
 Sets come in mirror pairs {A, b-A}: the mask of b-A is that of A
 reversed over b-1 bits.  Since n lies in NA exactly when bN - n lies in
 N(b-A), both fail at the same N with the same missing count, the
-witnesses of b-A are bN - w for the largest missing w of A, and its
-family labels are those of A seen from the other side.  So only the
-canonical member of a pair, the one whose mask is not above its
-mirror's, is analyzed; it emits the records of both, and a set that is
-its own mirror is emitted once.  Both members get the window
+witnesses of b-A are bN - w for the largest missing w of A, and one
+classification of the pair labels both sets.  So only the canonical
+member of a pair, the one whose mask is not above its mirror's, is
+analyzed; it emits the records of both, and a set that is its own
+mirror is emitted once.  Both members get the window
 [max(1, b - ell - delta), anchor(A)], since the anchor is b - ell for
 both (a test pins this for every set with b <= 16).
 
@@ -40,8 +40,8 @@ milliseconds of work, and farmed out to a process pool when
 mirror's mask lies in another shard), how many masks it skipped for
 gcd reasons, and the sum of the mask integers it visited; the merge
 step checks those against closed-form totals, so a lost or duplicated
-shard cannot go unnoticed.  Results carry each set's own mask and are
-sorted by (b, mask) after the merge, which makes reports byte-identical
+shard cannot go unnoticed.  Shards return finished records; the merge
+sorts them by b, interior mask and N, so reports are byte-identical
 across worker counts.  Pool workers ignore Ctrl-C; the parent takes it,
 cancels the pending shards and shuts the pool down.  The parent holds
 SIGINT back while it submits shards, since that is when workers start.
@@ -62,7 +62,7 @@ from typing import Iterable, Iterator
 
 from .core import FiniteIntegerSet, _bit_list, _known_set, _reverse_bits, _set_str, reflect
 from .errors import CatalogMismatchError
-from .families import _classify, reflect_labels
+from .families import _classify
 from .verifier import DEFAULT_WITNESS_CAP, _analyze
 
 __all__ = [
@@ -206,7 +206,7 @@ def _scan_unit(
     delta: int,
     witness_cap: int,
 ):
-    """Scan one contiguous bitmask range; returns plain tuples for IPC.
+    """Scan one contiguous bitmask range into finished records.
 
     Only the canonical member of each pair {A, b-A} is analyzed: the one
     whose mask is not above its mirror's.  It emits the records of both.
@@ -224,24 +224,24 @@ def _scan_unit(
         window_lo = max(1, b - a_set.ell - delta)
         # the window ends at the anchor of A, which is the anchor of b-A too
         window_hi, fails = _analyze(a_set, mirror).failures(window_lo, witness_cap)
-        labels = _classify(a_set, mirror, delta) if delta else ()
-        sides = [(mask, elements, labels)]
+        labels, mirror_labels = _classify(a_set, mirror, delta) if delta else ((), ())
+        sides = [(elements, labels)]
         if mirror_mask != mask:
-            sides.append((mirror_mask, mirror.elements, reflect_labels(labels)))
+            sides.append((mirror.elements, mirror_labels))
         failing = [n for n, *_ in fails]
-        guaranteed = max(1, b - a_set.ell)
+        guaranteed = b - a_set.ell
         hard = [n for n in failing if n >= guaranteed]
-        for side, (side_mask, side_elements, side_labels) in enumerate(sides):
+        for side, (side_elements, side_labels) in enumerate(sides):
             analyzed += 1
             label_strs = tuple(str(label) for label in side_labels)
-            for n, count, *witnesses in fails:
-                failures.append(
-                    (side_mask, side_elements, n, witnesses[side], count, label_strs)
-                )
+            failures.extend(
+                FailureRecord(b, side_elements, n, witnesses[side], count, label_strs)
+                for n, count, *witnesses in fails
+            )
             if hard:
                 mismatches.append(
-                    (
-                        side_mask,
+                    MismatchRecord(
+                        b,
                         side_elements,
                         "identity_violation",
                         f"fails at N={hard} inside the guaranteed range N >= {guaranteed}",
@@ -260,8 +260,13 @@ def _scan_unit(
                         f"matches {'+'.join(label_strs)} but holds at every "
                         f"N in [{window_lo}, {window_hi}]"
                     )
-                mismatches.append((side_mask, side_elements, kind, detail))
+                mismatches.append(MismatchRecord(b, side_elements, kind, detail))
     return analyzed, tally.skipped_gcd, tally.mask_sum, failures, mismatches
+
+
+def _set_order(record: FailureRecord | MismatchRecord) -> tuple[int, int]:
+    """(b, interior mask) of a record's set: the order in which sets are walked."""
+    return record.b, sum(1 << (x - 1) for x in record.elements[1:-1])
 
 
 def _ignore_interrupts() -> None:
@@ -313,11 +318,11 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
     timing: dict[int, float] = {}
 
     b_lo, b_hi = config.b_min, config.b_max
-    ell_floor = config.ell_min if config.ell_min is not None else 0
+    ell_lo = config.ell_min if config.ell_min is not None else 0
     if config.delta == 2:
         # the deeper catalog is only claimed for b >= 9 and ell >= 5
         b_lo = max(b_lo, 9)
-        ell_floor = max(ell_floor, 5)
+        ell_lo = max(ell_lo, 5)
 
     pool = None
     if config.parallelism > 1:
@@ -328,7 +333,6 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
     try:
         for b in range(b_lo, b_hi + 1):
             started = time.perf_counter()
-            ell_lo = ell_floor
             ell_hi = config.ell_max if config.ell_max is not None else b - 1
             unit_args = [
                 (b, lo, hi, ell_lo, ell_hi, config.delta, config.witness_cap)
@@ -344,8 +348,8 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
                 analyzed += unit_analyzed
                 skipped += unit_skipped
                 mask_sum += unit_mask_sum
-                all_failures.extend((b, *item) for item in fails)
-                all_mismatches.extend((b, *item) for item in mismatches)
+                all_failures += fails
+                all_mismatches += mismatches
 
             span = 1 << (b - 1)
             pool_size = sum(
@@ -362,20 +366,14 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    all_failures.sort(key=lambda item: (item[0], item[1], item[3]))
-    all_mismatches.sort(key=lambda item: (item[0], item[1]))
+    all_failures.sort(key=lambda record: (*_set_order(record), record.n_summands))
+    all_mismatches.sort(key=_set_order)  # stable: a set's mismatches keep their order
     result = ScanResult(
         config=config,
         sets_scanned=sets_scanned,
         skipped_gcd=skipped_gcd,
-        failures=tuple(
-            FailureRecord(b, elements, n, witnesses, count, labels)
-            for b, _, elements, n, witnesses, count, labels in all_failures
-        ),
-        catalog_mismatches=tuple(
-            MismatchRecord(b, elements, kind, detail)
-            for b, _, elements, kind, detail in all_mismatches
-        ),
+        failures=tuple(all_failures),
+        catalog_mismatches=tuple(all_mismatches),
         timing=timing,
     )
     if result.catalog_mismatches:

@@ -43,7 +43,6 @@ relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 from .core import (
@@ -130,11 +129,6 @@ class _Analysis:
         """E(b-A) in increasing order."""
         return _bit_list(_reverse_bits(self.mirrored, self.mirror_width + 1))
 
-    @cached_property
-    def _gap_counts(self) -> tuple[int, int]:
-        """|E(A)| and |E(b-A)|."""
-        return self.gap_mask.bit_count(), self.mirrored.bit_count()
-
     def description(self, n_summands: int) -> int:
         """D(N) over [0, bN], built only where witnesses are wanted."""
         top = self.a_set.b * n_summands
@@ -152,14 +146,12 @@ class _Analysis:
         """
         top = self.a_set.b * n_summands
         gaps, mirrored = self.gap_mask, self.mirrored
-        gap_count, mirror_count = self._gap_counts
         shift = top - self.mirror_width  # where bit 0 of ``mirrored`` lands
         if shift >= 0:
             at_top = (sumset >> shift) & mirrored
             overlap = (gaps >> shift) & mirrored
         else:  # the gaps of b-A above bN would land below 0
             mirrored >>= -shift
-            mirror_count = mirrored.bit_count()
             at_top = sumset & mirrored
             overlap = gaps & mirrored
         if sumset & gaps or at_top or sumset.bit_length() > top + 1:
@@ -168,8 +160,8 @@ class _Analysis:
                 "this contradicts a theorem and indicates a bug"
             )
         if gaps.bit_length() > top + 1:
-            gap_count = (gaps & ((1 << (top + 1)) - 1)).bit_count()
-        cut = gap_count + mirror_count - overlap.bit_count()
+            gaps &= (1 << (top + 1)) - 1
+        cut = gaps.bit_count() + mirrored.bit_count() - overlap.bit_count()
         return top + 1 - cut - sumset.bit_count()
 
     def _report(

@@ -175,6 +175,21 @@ def test_reports_identical_across_parallelism():
         assert render_report(one, "csv") == render_report(two, "csv")
 
 
+def test_merge_orders_a_sets_failures_by_n(monkeypatch):
+    # a shard lists each set's failures by increasing N; the merge's order
+    # must not depend on that (at delta 2, 18 sets with b <= 11 fail twice)
+    config = ScanConfig(9, 11, delta=2)
+    expected = _scan_or_attached(config).failures
+    scan_unit = scan._scan_unit
+
+    def reversing_unit(*args):
+        *counts, failures, mismatches = scan_unit(*args)
+        return (*counts, failures[::-1], mismatches)
+
+    monkeypatch.setattr(scan, "_scan_unit", reversing_unit)
+    assert _scan_or_attached(config).failures == expected
+
+
 @pytest.mark.parametrize("witness_cap", [1, 3])
 @pytest.mark.parametrize("delta", [0, 1, 2])
 def test_paired_scan_matches_an_unpaired_reference(delta, witness_cap):
