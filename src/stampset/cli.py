@@ -239,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidSetError, DegenerateSetError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except (OverflowError, MemoryError):
+        sys.stderr.write("error: input too large for exact arithmetic\n")
+        return 2
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")
         return 130

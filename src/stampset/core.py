@@ -272,8 +272,6 @@ def _first_members(elements: tuple[int, ...]) -> tuple[int, int]:
     read only where it is wanted, by ``_first_positions``.
     """
     b = elements[-1]
-    if b == 1:
-        return 0, 0
     bound = (b - 1) ** 2
     semigroup = _semigroup_mask(elements, bound)
     first_mask = semigroup & ~(semigroup << b | 1)

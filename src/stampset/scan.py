@@ -34,17 +34,18 @@ mirror is emitted once.  Both members get the window
 both (a test pins this for every set with b <= 16).
 
 Work is partitioned into contiguous bitmask ranges, each a few
-milliseconds of work, and farmed out to a process pool when
-``parallelism > 1``.  Every shard reports how many sets it analyzed
-(counting the mirror of each canonical set it holds, even when that
-mirror's mask lies in another shard), how many masks it skipped for
-gcd reasons, and the sum of the mask integers it visited; the merge
-step checks those against closed-form totals, so a lost or duplicated
-shard cannot go unnoticed.  Shards return finished records; the merge
-sorts them by b, interior mask and N, so reports are byte-identical
-across worker counts.  Pool workers ignore Ctrl-C; the parent takes it,
-cancels the pending shards and shuts the pool down.  The parent holds
-SIGINT back while it submits shards, since that is when workers start.
+milliseconds of work, the same at every worker count: they run in turn
+at one worker and on a process pool at more.  Every shard reports how
+many sets it analyzed (counting the mirror of each canonical set it
+holds, even when that mirror's mask lies in another shard), how many
+masks it skipped for gcd reasons, and the sum of the mask integers it
+visited; the merge step checks those against closed-form totals, so a
+lost or duplicated shard cannot go unnoticed.  Shards return finished
+records; the merge sorts them by b, interior mask and N, so reports are
+byte-identical across worker counts.  Pool workers ignore Ctrl-C; the
+parent takes it, cancels the pending shards and shuts the pool down.
+The parent holds SIGINT back while it submits shards, since that is when
+workers start.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterable, Iterator
 
-from .core import FiniteIntegerSet, _bit_list, _known_set, _reverse_bits, _set_str, reflect
+from .core import FiniteIntegerSet, _bit_list, _known_set, _reverse_bits, _set_str
 from .errors import CatalogMismatchError
 from .families import _classify
 from .verifier import DEFAULT_WITNESS_CAP, _analyze
@@ -167,17 +168,15 @@ def enumerate_sets(
     element j+1 is present) and visited in increasing numeric order, so
     the stream is deterministic.  Subsets whose elements share a factor
     with b are skipped.  An optional interior-size window [ell_min,
-    ell_max] narrows the stream; a narrowed window visits only the masks
-    of the wanted sizes, so it costs what it yields.
+    ell_max] narrows the stream.  There is one mask stream: the masks of
+    each wanted size merged, so a narrowed window costs what it yields.
     """
     if b < 2:
         raise ValueError(f"modulus must be at least 2, got {b}")
     lo = 0 if ell_min is None else ell_min
     hi = b - 1 if ell_max is None else ell_max
-    masks: Iterable[int] = range(1 << (b - 1))
-    if lo > 0 or hi < b - 1:  # only the masks of each wanted size, merged
-        sized = (_masks_of_size(ell, b - 1) for ell in range(max(lo, 0), hi + 1))
-        masks = heapq.merge(*sized)
+    sized = (_masks_of_size(ell, b - 1) for ell in range(max(lo, 0), hi + 1))
+    masks = heapq.merge(*sized)
     for _, elements in _walk_sets(b, masks, lo, hi, _Tally()):
         yield FiniteIntegerSet(elements)
 
@@ -220,14 +219,14 @@ def _scan_unit(
         if mirror_mask < mask:
             continue  # emitted by the shard holding its mirror
         a_set = _known_set(elements)
-        mirror = reflect(a_set)  # built once, for the analysis and the classifier
+        analysis = _analyze(a_set)
         window_lo = max(1, b - a_set.ell - delta)
         # the window ends at the anchor of A, which is the anchor of b-A too
-        window_hi, fails = _analyze(a_set, mirror).failures(window_lo, witness_cap)
-        labels, mirror_labels = _classify(a_set, mirror, delta) if delta else ((), ())
+        window_hi, fails = analysis.failures(window_lo, witness_cap)
+        labels, mirror_labels = _classify(a_set, analysis.mirror, delta) if delta else ((), ())
         sides = [(elements, labels)]
         if mirror_mask != mask:
-            sides.append((mirror.elements, mirror_labels))
+            sides.append((analysis.mirror.elements, mirror_labels))
         failing = [n for n, *_ in fails]
         guaranteed = b - a_set.ell
         hard = [n for n in failing if n >= guaranteed]
@@ -295,10 +294,8 @@ def _map_units(pool, unit_args: list[tuple]) -> list:
     return list(results)
 
 
-def _units_for(b: int, parallelism: int) -> list[tuple[int, int]]:
+def _units_for(b: int) -> list[tuple[int, int]]:
     span = 1 << (b - 1)
-    if parallelism == 1:
-        return [(0, span)]
     unit = max(64, span // 512)
     return [(lo, min(lo + unit, span)) for lo in range(0, span, unit)]
 
@@ -336,7 +333,7 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
             ell_hi = config.ell_max if config.ell_max is not None else b - 1
             unit_args = [
                 (b, lo, hi, ell_lo, ell_hi, config.delta, config.witness_cap)
-                for lo, hi in _units_for(b, config.parallelism)
+                for lo, hi in _units_for(b)
             ]
             if pool is None:
                 outcomes = [_scan_unit(*args) for args in unit_args]
@@ -354,7 +351,7 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
             span = 1 << (b - 1)
             pool_size = sum(
                 comb(b - 1, ell) for ell in range(max(0, ell_lo), min(b - 1, ell_hi) + 1)
-            ) if ell_lo <= ell_hi else 0
+            )
             if mask_sum != span * (span - 1) // 2 or analyzed + skipped != pool_size:
                 raise RuntimeError(
                     f"work partition for b={b} dropped or duplicated a shard"

@@ -102,27 +102,24 @@ class StructureReport:
 class _Analysis:
     """The first members of A and of b-A, and what entry points read off A's layers.
 
-    ``first_mask`` and ``gap_mask`` are F and the gap mask of A, the first
-    step of its profile; its summand counts come from the one walk over
-    A's layers, ``core._walk``, which every reader goes over itself.
-    ``reflected_mask`` is F of b-A.  The class of each first member is read
-    only by the readers that want it.  ``mirrored`` is the gap mask of b-A
-    reversed over [0, mirror_width], where mirror_width is its largest gap
-    (-1 without gaps): gap g sits at bit mirror_width - g, so a shift by
-    bN - mirror_width moves it to bN - g.
+    ``mirror`` is b-A, built once; the scan classifies it and emits its
+    records.  ``first_mask`` and ``gap_mask`` are F and the gap mask of A,
+    the first step of its profile; its summand counts come from the one
+    walk over A's layers, ``core._walk``, which every reader goes over
+    itself.  ``reflected_mask`` is F of b-A.  The class of each first
+    member is read only by the readers that want it.  ``mirrored`` is the
+    gap mask of b-A reversed over [0, mirror_width], where mirror_width is
+    its largest gap (-1 without gaps): gap g sits at bit mirror_width - g,
+    so a shift by bN - mirror_width moves it to bN - g.
     """
 
     a_set: FiniteIntegerSet
+    mirror: FiniteIntegerSet
     first_mask: int
     gap_mask: int
     reflected_mask: int
     mirrored: int
     mirror_width: int
-
-    @property
-    def reflected_first(self) -> tuple[int, ...]:
-        """first_reachable of b-A."""
-        return _first_positions(self.reflected_mask, self.a_set.b)
 
     @property
     def reflected_gaps(self) -> tuple[int, ...]:
@@ -250,7 +247,8 @@ class _Analysis:
     def holds_for_all_n(self, profile: ExceptionalProfile) -> bool:
         """first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a) for every class a,
         with ``profile`` the full profile of A."""
-        b, first_r = self.a_set.b, self.reflected_first
+        b = self.a_set.b
+        first_r = _first_positions(self.reflected_mask, b)  # first_reachable of b-A
         for a in range(1, b):
             lhs = profile.first_reachable[a - 1] + first_r[b - a - 1]
             if lhs != b * profile.min_summands[a - 1]:
@@ -264,18 +262,15 @@ def _check_request(n_summands: int, witness_cap: int) -> None:
     _require_summands(n_summands)
 
 
-def _analyze(a_set: FiniteIntegerSet, mirror: FiniteIntegerSet | None = None) -> _Analysis:
-    """Find the first members of A (so unnormalized input names A) and of b - A.
-
-    ``mirror`` is b - A, for a caller that has built it already.
-    """
+def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
+    """Find the first members of A (so unnormalized input names A) and of b - A,
+    building b - A once."""
     _require_normalized(a_set)
-    if mirror is None:
-        mirror = reflect(a_set)
+    mirror = reflect(a_set)
     first_r, gaps_r = _first_members(mirror.elements)
     width = gaps_r.bit_length()
     first, gaps = _first_members(a_set.elements)
-    return _Analysis(a_set, first, gaps, first_r, _reverse_bits(gaps_r, width), width - 1)
+    return _Analysis(a_set, mirror, first, gaps, first_r, _reverse_bits(gaps_r, width), width - 1)
 
 
 def check_structure(

@@ -51,6 +51,10 @@ def test_analyze_rejects_bad_literals(capsys):
     assert run_cli(capsys, "analyze", "5")[0] == 2
     assert run_cli(capsys, "analyze", "0,3,5", "--N", "0")[0] == 2
     assert run_cli(capsys, "analyze", "0,1,5,6", "--witness-cap", "0")[0] == 2
+    # a mask of about b**2 bits cannot even be asked for; nothing is allocated
+    code, out, err = run_cli(capsys, "analyze", "99999999999999999999,0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: input too large for exact arithmetic\n"
 
 
 def test_analyze_json_round_trip(capsys):
@@ -258,6 +262,10 @@ def test_kneser_prints_growth_and_families(capsys):
     code, out, _ = run_cli(capsys, "kneser", "0,3,5")
     assert code == 0
     assert "not applicable" in out
+
+    code, out, _ = run_cli(capsys, "kneser", "0,1,2,4")
+    assert code == 0
+    assert out.endswith("doubling families: none\n")
 
 
 def test_kneser_respects_kmax(capsys):

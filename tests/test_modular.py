@@ -13,6 +13,7 @@ from stampset import (
     TooSmallError,
     appendix_family_threshold,
 )
+from stampset import modular
 from stampset.modular import (
     ResidueSet,
     growth_profile,
@@ -27,6 +28,12 @@ from oracles import brute_mod_sumset, brute_stabilizer
 
 def rs(values, modulus):
     return ResidueSet.of(values, modulus)
+
+
+@pytest.mark.parametrize("modulus, bits", [(0, 0), (5, -1), (5, 1 << 5), (3, 0b1001)])
+def test_residue_set_rejects_a_bad_modulus_or_bits(modulus, bits):
+    with pytest.raises(ValueError):
+        ResidueSet(modulus, bits)
 
 
 def test_reduction_folds_top_element():
@@ -94,6 +101,10 @@ def test_growth_profile_k_max_truncates_entries_not_sizes():
     assert prof.size_of(2) == 5
     assert prof.size_of(50) == 7  # saturated
     assert prof.smallest_k(0) == 2
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        prof.size_of(0)
+    with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
+        growth_profile(rs({0, 1, 6}, 7), k_max=0)
 
 
 def test_growth_profile_rejects_non_generating():
@@ -123,6 +134,22 @@ def test_growth_law_two_per_step_exhaustive_small():
                 sizes = [e.size for e in prof.entries]
                 for prev, cur in zip(sizes, sizes[1:]):
                     assert cur >= min(b, prev + 2)
+
+
+def test_growth_law_violation_raises(monkeypatch):
+    # 2B = {0,1,2,5,6} mod 7 grows by two; drop its top residue so it grows by one
+    sumset = modular.mod_sumset
+
+    def stalling(u, v):
+        layer = sumset(u, v)
+        return ResidueSet(layer.modulus, layer.bits & ~(1 << (layer.bits.bit_length() - 1)))
+
+    monkeypatch.setattr(modular, "mod_sumset", stalling)
+    with pytest.raises(
+        RuntimeError,
+        match=r"growth law violated at k=2 for \{0,1,6\} mod 7: \|kB\|=4 < min\(7, 3\+2\)",
+    ):
+        growth_profile(rs({0, 1, 6}, 7))
 
 
 def test_smallest_k_terminates_for_sparse_sets():

@@ -23,7 +23,7 @@ from stampset.scan import (
     render_report,
     scan_theorems,
 )
-from stampset.verifier import _analyze, check_structure
+from stampset.verifier import _Analysis, _analyze, check_structure
 
 from oracles import count_normalized_sets
 
@@ -99,6 +99,8 @@ def test_config_validation():
         ScanConfig(2, 4, delta=3)
     with pytest.raises(ValueError):
         ScanConfig(2, 4, parallelism=0)
+    with pytest.raises(ValueError):
+        ScanConfig(2, 4, witness_cap=0)
 
 
 def test_delta_zero_scan_is_clean():
@@ -157,6 +159,71 @@ def test_delta_two_restricts_range():
     result = scan_theorems(ScanConfig(2, 8, delta=2))
     assert result.sets_scanned == 0
     assert result.failures == ()
+
+
+def test_failure_inside_the_guaranteed_range_is_an_identity_violation(monkeypatch):
+    # no set fails at N >= b - ell; plant one failure of {0,1,5} at N = 4
+    failures = _Analysis.failures
+
+    def planted(self, n_lo, witness_cap):
+        anchor, found = failures(self, n_lo, witness_cap)
+        if self.a_set.elements == (0, 1, 5):
+            found = [*found, (4, 1, (7,), (13,))]  # 13 = bN - 7 for b - A
+        return anchor, found
+
+    monkeypatch.setattr(_Analysis, "failures", planted)
+    with pytest.raises(CatalogMismatchError, match="identity_violation") as excinfo:
+        scan_theorems(ScanConfig(5, 5, delta=0))
+    result = excinfo.value.result
+    assert result is not None
+    assert result.failures == (
+        FailureRecord(5, (0, 1, 5), 4, (7,), 1, ()),
+        FailureRecord(5, (0, 4, 5), 4, (13,), 1, ()),
+    )
+    detail = "fails at N=[4] inside the guaranteed range N >= 4"
+    assert result.catalog_mismatches == (
+        MismatchRecord(5, (0, 1, 5), "identity_violation", detail),
+        MismatchRecord(5, (0, 4, 5), "identity_violation", detail),
+    )
+
+
+def test_cataloged_set_that_never_fails_is_a_mismatch(monkeypatch):
+    # every cataloged set fails at delta 1; label the generic {0,1,2,5}
+    classify = scan._classify
+
+    def planted(a_set, mirror, delta):
+        if a_set.elements == (0, 1, 2, 5):
+            return ("planted",), ("planted~",)
+        return classify(a_set, mirror, delta)
+
+    monkeypatch.setattr(scan, "_classify", planted)
+    with pytest.raises(CatalogMismatchError, match="family_without_failure") as excinfo:
+        scan_theorems(ScanConfig(5, 5, delta=1))
+    result = excinfo.value.result
+    assert result is not None
+    assert result.catalog_mismatches == (
+        MismatchRecord(
+            5, (0, 1, 2, 5), "family_without_failure",
+            "matches planted but holds at every N in [2, 3]",
+        ),
+        MismatchRecord(
+            5, (0, 3, 4, 5), "family_without_failure",
+            "matches planted~ but holds at every N in [2, 3]",
+        ),
+    )
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize(
+    "corrupt", [lambda units: units[:-1], lambda units: units + units[:1]],
+    ids=["dropped", "repeated"],
+)
+def test_shard_checksums_catch_a_lost_or_repeated_shard(monkeypatch, corrupt, parallelism):
+    # b = 8 splits into two shards of 64 masks at every worker count
+    units_for = scan._units_for
+    monkeypatch.setattr(scan, "_units_for", lambda b: corrupt(units_for(b)))
+    with pytest.raises(RuntimeError, match="work partition for b=8 dropped or duplicated a shard"):
+        scan_theorems(ScanConfig(8, 8, delta=1, parallelism=parallelism))
 
 
 def _scan_or_attached(config):
