@@ -5,117 +5,25 @@ questions of the form "which integers are sums of exactly N stamps drawn
 from a fixed denomination set A?" and verifies the interval-minus-two-gap-
 sets description of NA together with the thresholds at which it starts to
 hold.
+
+Each public name is listed once, in the ``__all__`` of the module that
+defines it; the package re-exports those lists.
 """
 
-from .core import (
-    ExceptionalProfile,
-    FiniteIntegerSet,
-    Normalization,
-    ReachabilityMask,
-    RepresentationCertificate,
-    exceptional_profile,
-    n_fold_sumset,
-    normalize,
-    reflect,
-    represent,
-)
-from .errors import (
-    CatalogMismatchError,
-    DegenerateSetError,
-    EmptySetError,
-    InvalidResidueError,
-    InvalidSetError,
-    ModulusMismatchError,
-    NotGeneratingError,
-    NotRepresentableError,
-    StampsetError,
-    TooSmallError,
-)
-from .families import (
-    FamilyLabel,
-    appendix_family_threshold,
-    classify_exceptional_family,
-)
-from .modular import (
-    DoublingMatch,
-    GrowthProfile,
-    GrowthStep,
-    ResidueSet,
-    StabilizerSubgroup,
-    growth_profile,
-    mod_sumset,
-    residues_mod_b,
-    small_doubling_families,
-    stabilizer,
-)
-from .scan import (
-    FailureRecord,
-    MismatchRecord,
-    ScanConfig,
-    ScanResult,
-    emit_report,
-    enumerate_sets,
-    render_report,
-    scan_theorems,
-)
-from .verifier import (
-    PlacementCheck,
-    StructureReport,
-    all_n_criterion,
-    check_structure,
-    min_threshold,
-    placement_check,
-)
+from . import core, errors, families, modular, scan, verifier
+from .core import *
+from .errors import *
+from .families import *
+from .modular import *
+from .scan import *
+from .verifier import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExceptionalProfile",
-    "FiniteIntegerSet",
-    "Normalization",
-    "ReachabilityMask",
-    "RepresentationCertificate",
-    "exceptional_profile",
-    "n_fold_sumset",
-    "normalize",
-    "reflect",
-    "represent",
-    "ResidueSet",
-    "StabilizerSubgroup",
-    "GrowthStep",
-    "GrowthProfile",
-    "DoublingMatch",
-    "residues_mod_b",
-    "mod_sumset",
-    "stabilizer",
-    "growth_profile",
-    "small_doubling_families",
-    "StructureReport",
-    "PlacementCheck",
-    "check_structure",
-    "min_threshold",
-    "all_n_criterion",
-    "placement_check",
-    "FamilyLabel",
-    "classify_exceptional_family",
-    "appendix_family_threshold",
-    "ScanConfig",
-    "ScanResult",
-    "FailureRecord",
-    "MismatchRecord",
-    "enumerate_sets",
-    "scan_theorems",
-    "render_report",
-    "emit_report",
-    "StampsetError",
-    "DegenerateSetError",
-    "InvalidSetError",
-    "NotRepresentableError",
-    "ModulusMismatchError",
-    "EmptySetError",
-    "NotGeneratingError",
-    "TooSmallError",
-    "InvalidResidueError",
-    "CatalogMismatchError",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += errors.__all__
+__all__ += families.__all__
+__all__ += modular.__all__
+__all__ += scan.__all__
+__all__ += verifier.__all__

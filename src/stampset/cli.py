@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .core import FiniteIntegerSet, _set_str, normalize
@@ -160,18 +159,13 @@ def _cmd_kneser(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.jobs is None:
-        source, raw = "SUMSET_JOBS", os.environ.get("SUMSET_JOBS", "1")
-    else:
-        source, raw = "--jobs", str(args.jobs)
-    jobs = int(raw) if raw.strip().isdecimal() else 0
-    if jobs < 1:
-        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be a positive integer, got '{args.jobs}'")
     config = ScanConfig(
         b_min=2,
         b_max=args.bmax,
         delta=args.delta,
-        parallelism=jobs,
+        parallelism=args.jobs,
     )
     code = 0
     try:
@@ -214,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = commands.add_parser("scan", help="verify the description exhaustively")
     scan.add_argument("--bmax", type=int, required=True, help="largest modulus")
     scan.add_argument("--delta", type=int, choices=(0, 1, 2), default=0)
-    scan.add_argument("--jobs", type=int, default=None, help="worker processes")
+    scan.add_argument("--jobs", type=int, default=1, help="worker processes")
     scan.add_argument("--out", default=None, help="write the JSON report here")
     scan.set_defaults(handler=_cmd_scan)
 
@@ -245,7 +239,3 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")
         return 130
-
-
-if __name__ == "__main__":
-    sys.exit(main())

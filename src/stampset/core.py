@@ -30,9 +30,11 @@ below first_reachable[a].
 
 Sets of reachable sums are held as Python integers used as bitmasks
 (bit n set <=> n reachable), so one shift-or applies a summand to every
-partial sum at once.  The layers NA of a normalized set come from one
-walk, ``_walk``, which also reads off when each first member appears:
-the profile's min_summands and every reader in ``verifier`` go over it.
+partial sum at once.  The profile's min_summands and every reader of
+the verifier's per-set analysis go over one walk of the layers NA,
+``_walk``, which also reads off when each first member appears;
+``n_fold_sumset``, ``represent`` and ``placement_check`` build their
+layers with ``_iter_nfold``.
 """
 
 from __future__ import annotations
@@ -284,7 +286,9 @@ def _first_members(elements: tuple[int, ...]) -> tuple[int, int]:
 def _first_positions(first_mask: int, b: int) -> tuple[int, ...]:
     """first_reachable from F: index a-1 holds the member of class a mod b.
 
-    The b - 1 positions of F are read off one bin() string.
+    The b - 1 positions of F are read off one bin() string, one find per
+    position.  F spans up to (b-1)^2 bits, too sparse for ``_bit_list``,
+    which visits every bit.
     """
     first = [0] * (b - 1)
     digits = bin(first_mask)[:1:-1]  # digit n is bit n

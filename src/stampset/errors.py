@@ -9,6 +9,19 @@ input.
 
 from __future__ import annotations
 
+__all__ = [
+    "StampsetError",
+    "DegenerateSetError",
+    "InvalidSetError",
+    "NotRepresentableError",
+    "ModulusMismatchError",
+    "EmptySetError",
+    "NotGeneratingError",
+    "TooSmallError",
+    "InvalidResidueError",
+    "CatalogMismatchError",
+]
+
 
 class StampsetError(Exception):
     """Base class for all errors raised by this package."""

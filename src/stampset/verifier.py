@@ -69,7 +69,6 @@ __all__ = [
     "min_threshold",
     "all_n_criterion",
     "placement_check",
-    "DEFAULT_WITNESS_CAP",
 ]
 
 DEFAULT_WITNESS_CAP = 64

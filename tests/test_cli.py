@@ -215,21 +215,20 @@ def test_scan_catalog_mismatch_exit_code(capsys, tmp_path):
     assert payload["catalog_mismatches"]
 
 
-def test_scan_respects_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("SUMSET_JOBS", "2")
-    code, out, _ = run_cli(capsys, "scan", "--bmax", "6")
+def test_scan_worker_count_is_set_by_jobs_alone(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "scan", "--bmax", "6", "--jobs", "2")
     assert code == 0
     json.loads(out)
-
-    for bad in ("x", "0"):
-        monkeypatch.setenv("SUMSET_JOBS", bad)
-        code, _, err = run_cli(capsys, "scan", "--bmax", "3")
-        assert code == 2
-        assert "SUMSET_JOBS" in err
 
     code, _, err = run_cli(capsys, "scan", "--bmax", "3", "--jobs", "0")
     assert code == 2
     assert "--jobs must be a positive integer" in err
+
+    # the environment does not choose the worker count
+    monkeypatch.setenv("SUMSET_JOBS", "x")
+    code, out, _ = run_cli(capsys, "scan", "--bmax", "3")
+    assert code == 0
+    json.loads(out)
 
 
 def test_scan_rejects_bad_bmax(capsys):
@@ -285,6 +284,25 @@ def test_module_entry_point_subprocess(package_env):
     )
     assert completed.returncode == 0
     assert "E(A)   = {1,2,4,7}" in completed.stdout
+
+
+def test_import_and_one_worker_scan_load_no_pool_machinery(package_env):
+    # -I -S as in bench/cold_setup.py: the package path comes in as arguments
+    code = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import stampset, stampset.cli\n"
+        "stampset.scan_theorems(stampset.ScanConfig(2, 8))\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, *package_env["PYTHONPATH"].split(os.pathsep)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "[]\n"
 
 
 def test_scan_interrupt_shuts_the_pool_down_cleanly(package_env):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import stampset
+from stampset import core, errors, families, modular, scan, verifier
 from stampset import (
     DegenerateSetError,
     FiniteIntegerSet,
@@ -224,3 +226,44 @@ def test_represent_out_of_range():
         represent(16, fis(0, 3, 5), 3)
     with pytest.raises(NotRepresentableError):
         represent(-1, fis(0, 3, 5), 3)
+
+
+PUBLIC_NAMES = {
+    "__version__",
+    # core
+    "ExceptionalProfile", "FiniteIntegerSet", "Normalization", "ReachabilityMask",
+    "RepresentationCertificate", "exceptional_profile", "n_fold_sumset", "normalize",
+    "reflect", "represent",
+    # errors
+    "CatalogMismatchError", "DegenerateSetError", "EmptySetError", "InvalidResidueError",
+    "InvalidSetError", "ModulusMismatchError", "NotGeneratingError",
+    "NotRepresentableError", "StampsetError", "TooSmallError",
+    # families
+    "FamilyLabel", "appendix_family_threshold", "classify_exceptional_family",
+    # modular
+    "DoublingMatch", "GrowthProfile", "GrowthStep", "ResidueSet", "StabilizerSubgroup",
+    "growth_profile", "mod_sumset", "residues_mod_b", "small_doubling_families",
+    "stabilizer",
+    # scan
+    "FailureRecord", "MismatchRecord", "ScanConfig", "ScanResult", "emit_report",
+    "enumerate_sets", "render_report", "scan_theorems",
+    # verifier
+    "PlacementCheck", "StructureReport", "all_n_criterion", "check_structure",
+    "min_threshold", "placement_check",
+}
+
+
+def test_public_names_are_listed_once_in_their_modules():
+    modules = (core, errors, families, modular, scan, verifier)
+    owner = {}
+    for module in modules:
+        for name in module.__all__:
+            assert name not in owner, f"{name} in {owner.get(name)} and {module.__name__}"
+            owner[name] = module
+    assert len(PUBLIC_NAMES) == 48
+    assert set(owner) | {"__version__"} == set(stampset.__all__) == PUBLIC_NAMES
+    for name, module in owner.items():
+        assert getattr(stampset, name) is getattr(module, name)
+    star: dict[str, object] = {}
+    exec("from stampset import *", star)
+    assert set(star) - {"__builtins__"} == PUBLIC_NAMES
