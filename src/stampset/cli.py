@@ -187,6 +187,12 @@ def _cmd_scan(args) -> int:
     return code
 
 
+_SET_HELP = (
+    'comma-separated integers, e.g. "0,3,5"; a set that starts with a minus '
+    'sign goes last, after --, as in "-- -3,0,2"'
+)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one."""
@@ -199,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser(
         "analyze", help="profile one set and check the interval description"
     )
-    analyze.add_argument("set", help='comma-separated integers, e.g. "0,3,5"')
+    analyze.add_argument("set", help=_SET_HELP)
     analyze.add_argument("--N", type=int, default=None, help="summand count to check")
     analyze.add_argument("--json", action="store_true", help="machine-readable output")
     analyze.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
@@ -213,12 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(handler=_cmd_scan)
 
     classify = commands.add_parser("classify", help="match one set against catalogs")
-    classify.add_argument("set")
+    classify.add_argument("set", help=_SET_HELP)
     classify.add_argument("--delta", type=int, choices=(1, 2), default=1)
     classify.set_defaults(handler=_cmd_classify)
 
     kneser = commands.add_parser("kneser", help="growth of residue sumsets kB")
-    kneser.add_argument("set")
+    kneser.add_argument("set", help=_SET_HELP)
     kneser.add_argument("--kmax", type=int, default=None)
     kneser.set_defaults(handler=_cmd_kneser)
 

@@ -30,11 +30,11 @@ below first_reachable[a].
 
 Sets of reachable sums are held as Python integers used as bitmasks
 (bit n set <=> n reachable), so one shift-or applies a summand to every
-partial sum at once.  The profile's min_summands and every reader of
-the verifier's per-set analysis go over one walk of the layers NA,
-``_walk``, which also reads off when each first member appears;
-``n_fold_sumset``, ``represent`` and ``placement_check`` build their
-layers with ``_iter_nfold``.
+partial sum at once.  The profile's min_summands, every reader of the
+verifier's per-set analysis and the placement check go over one walk of
+the layers NA, ``_walk``, which also reads off when each first member
+appears; ``n_fold_sumset`` and ``represent`` build their layers with
+``_iter_nfold``.
 """
 
 from __future__ import annotations
@@ -185,6 +185,11 @@ def _require_summands(n_summands: int) -> None:
         raise ValueError(f"number of summands must be >= 1, got {n_summands}")
 
 
+def _require_residue(residue: int, b: int) -> None:
+    if not 1 <= residue <= b - 1:
+        raise InvalidResidueError(f"residue must be in 1..{b - 1}, got {residue}")
+
+
 @dataclass(frozen=True)
 class ReachabilityMask:
     """A set of integers inside [0, bound], packed into one bitmask int."""
@@ -304,7 +309,8 @@ def _walk(
 ) -> Iterator[tuple[int, int, int]]:
     """(N, NA, pending) for N = 1, 2, ..., each layer built once, in one frame.
 
-    ``elements`` are those of a normalized set A and ``first_mask`` its F.
+    ``elements`` are those of a normalized set A and ``first_mask`` its F,
+    or the part of F a reader asks about.
     Since 0 is in A, NA contains (N-1)A, so each layer is the one before,
     or-ed with its shifts by the non-zero elements.  Every layer clears the
     first members it reaches from F, and ``pending`` is what is left; with
@@ -345,20 +351,14 @@ class ExceptionalProfile:
     min_summands: tuple[int, ...]
     gap_mask: int
 
-    def _check_residue(self, residue: int) -> None:
-        if not 1 <= residue <= self.modulus - 1:
-            raise InvalidResidueError(
-                f"residue must be in 1..{self.modulus - 1}, got {residue}"
-            )
-
     def first_reachable_in(self, residue: int) -> int:
         """Least positive member of P(A) congruent to residue mod b."""
-        self._check_residue(residue)
+        _require_residue(residue, self.modulus)
         return self.first_reachable[residue - 1]
 
     def min_summands_for(self, residue: int) -> int:
         """Least N such that first_reachable_in(residue) is a sum of N elements."""
-        self._check_residue(residue)
+        _require_residue(residue, self.modulus)
         return self.min_summands[residue - 1]
 
     @property

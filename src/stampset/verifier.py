@@ -52,12 +52,11 @@ from .core import (
     _first_members,
     _first_positions,
     _iter_bits,
-    _iter_nfold,
     _require_normalized,
+    _require_residue,
     _require_summands,
     _reverse_bits,
     _walk,
-    exceptional_profile,
     reflect,
 )
 from .modular import growth_profile, residues_mod_b
@@ -328,21 +327,34 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     minimal summand count of class a), the member first_reachable(a) of
     P(A) can be pushed k-1 levels up: the target lies in NA already for
     N = max(1, 2k + b - |kB| - 1).
+
+    One walk over A's layers, ``core._walk``, answers both questions about
+    class a: the first layer that reaches its first member m gives the
+    minimal summand count, and with it the hypothesis, and layer N holds the
+    target or not.  The walk stops once both are known, or once the
+    hypothesis fails.
     """
     _require_normalized(a_set)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    b = a_set.b
-    prof = exceptional_profile(a_set)
-    target = prof.first_reachable_in(residue) + (k - 1) * b
+    elements = a_set.elements
+    b = elements[-1]
+    _require_residue(residue, b)
+    first_mask, _ = _first_members(elements)
+    member = _first_positions(first_mask, b)[residue - 1]
+    target = member + (k - 1) * b
     kb_size = growth_profile(residues_mod_b(a_set)).size_of(k)
     n_summands = max(1, 2 * k + b - kb_size - 1)
-    hypothesis_met = kb_size >= b - prof.min_summands_for(residue)
-    holds = True  # vacuously, unless the hypothesis is met
-    if hypothesis_met:
-        layers = _iter_nfold(a_set.elements, bit_limit=target)
-        holds = (next(islice(layers, n_summands - 1, None)) >> target) & 1 == 1
+    hypothesis_met = holds = None
+    for n, sumset, pending in _walk(elements, 1 << member):
+        if n == n_summands:
+            holds = (sumset >> target) & 1 == 1
+        if hypothesis_met is None and not pending:  # n is the minimal summand count
+            hypothesis_met = kb_size >= b - n
+        if hypothesis_met is False or (hypothesis_met and holds is not None):
+            break
     return PlacementCheck(
-        holds=holds, hypothesis_met=hypothesis_met, target=target,
+        holds=holds or not hypothesis_met,  # vacuously true without the hypothesis
+        hypothesis_met=hypothesis_met, target=target,
         n_summands=n_summands, kb_size=kb_size,
     )
