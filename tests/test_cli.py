@@ -45,6 +45,27 @@ def test_analyze_normalization_notice(capsys):
     assert "normalized input to {0,2,5} (g=3, tau=6)" in out
 
 
+def test_set_starting_with_a_minus_sign_goes_after_double_dash(capsys):
+    # argparse reads "-3,0,2" as an option, so the positional set is missing
+    with pytest.raises(SystemExit) as exited:
+        main(["analyze", "-3,0,2"])
+    assert exited.value.code == 2
+    assert "the following arguments are required: set" in capsys.readouterr().err
+    notice = "normalized input to {0,3,5} (g=1, tau=-3)\n"
+    for argv in (
+        ("analyze", "--", "-3,0,2"),
+        ("analyze", "--N", "2", "--", "-3,0,2"),
+        ("classify", "--", "-3,0,2"),
+        ("kneser", "--kmax", "2", "--", "-3,0,2"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith(notice), argv
+    for command in ("analyze", "classify", "kneser"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert '"-- -3,0,2"' in " ".join(capsys.readouterr().out.split()), command
+
+
 def test_analyze_rejects_bad_literals(capsys):
     assert run_cli(capsys, "analyze", "0,0,5")[0] == 2
     assert run_cli(capsys, "analyze", "0,x,5")[0] == 2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import stampset
@@ -267,3 +269,10 @@ def test_public_names_are_listed_once_in_their_modules():
     star: dict[str, object] = {}
     exec("from stampset import *", star)
     assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == stampset.__version__

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import cache
 from itertools import combinations, islice
 
@@ -25,7 +25,13 @@ from stampset.verifier import (
     placement_check,
 )
 
-from oracles import brute_layers, brute_nfold, brute_profile
+from oracles import (
+    brute_layers,
+    brute_mod_sumset,
+    brute_nfold,
+    brute_profile,
+    brute_sums_up_to,
+)
 
 
 def fis(*values: int) -> FiniteIntegerSet:
@@ -312,6 +318,35 @@ def test_placement_check_never_false_small():
             for k in range(1, a.b + 1):
                 result = placement_check(a, residue, k)
                 assert result.holds, (a, residue, k)
+
+
+def test_placement_check_matches_oracles_on_every_field():
+    """Every field of every check with b <= 8, every residue and k <= b,
+    rebuilt from the brute-force oracles."""
+    for a in every_normalized(8):
+        b = a.b
+        first, summands, _ = brute_profile(a.elements)
+        residues = {x % b for x in a.elements}
+        kb_sizes, kb = [], residues
+        for _ in range(b):
+            kb_sizes.append(len(kb))
+            kb = brute_mod_sumset(kb, residues, b)
+        sums = cache(lambda n: brute_sums_up_to(a.elements, n))  # NA, since 0 is in A
+        for residue in range(1, b):
+            for k in range(1, b + 1):
+                target = first[residue - 1] + (k - 1) * b
+                kb_size = kb_sizes[k - 1]
+                n_summands = max(1, 2 * k + b - kb_size - 1)
+                hypothesis_met = kb_size >= b - summands[residue - 1]
+                holds = not hypothesis_met or target in sums(n_summands)
+                expected = (holds, hypothesis_met, target, n_summands, kb_size)
+                assert astuple(placement_check(a, residue, k)) == expected, (a, residue, k)
+        for residue in (0, b):
+            with pytest.raises(InvalidResidueError) as expected_error:
+                exceptional_profile(a).first_reachable_in(residue)
+            with pytest.raises(InvalidResidueError) as error:
+                placement_check(a, residue, 1)
+            assert str(error.value) == str(expected_error.value)
 
 
 def test_placement_check_rejects_bad_residue():
