@@ -304,6 +304,15 @@ def _first_positions(first_mask: int, b: int) -> tuple[int, ...]:
     return tuple(first)
 
 
+def _first_in_class(first_mask: int, residue: int, b: int) -> int:
+    """The member of F in class ``residue`` mod b, 1 <= residue <= b - 1.
+
+    One slice of F's bin() string visits only the class's digits, in C.
+    """
+    digits = bin(first_mask)[:1:-1]  # digit n is bit n
+    return residue + b * digits[residue::b].index("1")
+
+
 def _walk(
     elements: tuple[int, ...], first_mask: int, summands: list[int] | None = None
 ) -> Iterator[tuple[int, int, int]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .core import FiniteIntegerSet, _iter_bits, _require_normalized, _set_str
+from .core import FiniteIntegerSet, _bit_list, _iter_bits, _require_normalized, _set_str
 from .errors import (
     EmptySetError,
     ModulusMismatchError,
@@ -54,13 +54,13 @@ class ResidueSet:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        _require_modulus(self.modulus)
         if self.bits < 0 or self.bits >> self.modulus:
             raise ValueError("bitmask has bits outside 0..modulus-1")
 
     @classmethod
     def of(cls, values: Iterable[int], modulus: int) -> "ResidueSet":
+        _require_modulus(modulus)  # before reducing by it
         bits = 0
         for v in values:
             bits |= 1 << (v % modulus)
@@ -81,6 +81,11 @@ class ResidueSet:
 
     def __str__(self) -> str:
         return f"{_set_str(self)} mod {self.modulus}"
+
+
+def _require_modulus(modulus: int) -> None:
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
 
 
 def residues_mod_b(a_set: FiniteIntegerSet) -> ResidueSet:
@@ -161,13 +166,14 @@ class GrowthProfile:
     """
 
     residues: ResidueSet
-    _layers: tuple[ResidueSet, ...]  # kB at index k-1, always reaching saturation
+    _layers: tuple[int, ...]  # the mask of kB at index k-1, always reaching saturation
     k_max: int | None = None
 
     @property
     def entries(self) -> tuple[GrowthStep, ...]:
+        b = self.residues.modulus
         return tuple(
-            GrowthStep(k, layer.size, stabilizer(layer))
+            GrowthStep(k, layer.bit_count(), stabilizer(ResidueSet(b, layer)))
             for k, layer in enumerate(self._layers[: self.k_max], start=1)
         )
 
@@ -175,7 +181,7 @@ class GrowthProfile:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if k <= len(self._layers):
-            return self._layers[k - 1].size
+            return self._layers[k - 1].bit_count()
         return self.residues.modulus  # saturated from here on
 
     def smallest_k(self, delta: int) -> int:
@@ -189,14 +195,52 @@ class GrowthProfile:
         )
 
 
+def _growth_layers(bits: int, b: int) -> tuple[int, ...]:
+    """The masks of kB for k = 1, 2, ... up to saturation, B given as ``bits``.
+
+    B must contain 0 and generate Z/bZ.  Since 0 is in B, kB is (k-1)B
+    or-ed with its rotations by the non-zero residues r of B, each a pair of
+    shifts (left by r, right by b - r) worked out once.  The two-per-step
+    growth law |kB| >= min(b, |(k-1)B| + 2) is asserted on every layer when
+    B has at least two non-zero residues; B is rendered as a ResidueSet
+    only for the error.
+    """
+    full = (1 << b) - 1
+    shifts = [(r, b - r) for r in _bit_list(bits)[1:]]  # bit 0 is the residue 0
+    layer, size = bits, bits.bit_count()
+    law = size >= 3  # at least two non-zero residues
+    layers = [layer]
+    while size < b:
+        k = len(layers) + 1
+        if k > b:
+            raise RuntimeError(  # pragma: no cover - generating sets saturate
+                f"{ResidueSet(b, bits)} failed to saturate within k <= {b}"
+            )
+        grown = layer
+        for left, right in shifts:
+            grown |= layer << left | layer >> right
+        layer = grown & full
+        grown_size = layer.bit_count()
+        if law and grown_size < min(b, size + 2):
+            raise RuntimeError(
+                f"growth law violated at k={k} for {ResidueSet(b, bits)}: "
+                f"|kB|={grown_size} < min({b}, {size}+2)"
+            )
+        layers.append(layer)
+        size = grown_size
+    return tuple(layers)
+
+
 def growth_profile(residues: ResidueSet, k_max: int | None = None) -> GrowthProfile:
     """Track |kB| and its stabilizer for k = 1, 2, ... up to saturation.
 
-    Requires 0 in B and that B generate Z/bZ.  While iterating, the
-    two-per-step growth law |kB| >= min(b, |(k-1)B| + 2) is asserted for
-    sets with at least two non-zero residues; a violation would disprove
-    the underlying theorem, so it raises RuntimeError rather than a
-    package error.
+    Requires 0 in B and that B generate Z/bZ.  The layers come from one
+    raw b-bit kernel, ``_growth_layers``, which asserts the two-per-step
+    growth law |kB| >= min(b, |(k-1)B| + 2) on every layer for sets with
+    at least two non-zero residues; a violation would disprove the
+    underlying theorem, so it raises RuntimeError rather than a package
+    error.  The layers always run to saturation (``smallest_k`` needs
+    them); ``entries`` stop at k_max when one is given.
     """
     if residues.bits == 0:
         raise EmptySetError("growth profile of the empty set is undefined")
@@ -207,25 +251,7 @@ def growth_profile(residues: ResidueSet, k_max: int | None = None) -> GrowthProf
         raise NotGeneratingError(f"{residues} does not generate Z/{b}")
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-
-    # layers always run to saturation (smallest_k needs them); entries stop
-    # at k_max when one is given.
-    ell = residues.size - 1
-    layers = [residues]
-    while (size := layers[-1].size) < b:
-        k = len(layers) + 1
-        if k > b:
-            raise RuntimeError(  # pragma: no cover - generating sets saturate
-                f"{residues} failed to saturate within k <= {b}"
-            )
-        layer = mod_sumset(residues, layers[-1])
-        if ell >= 2 and layer.size < min(b, size + 2):
-            raise RuntimeError(
-                f"growth law violated at k={k} for {residues}: "
-                f"|kB|={layer.size} < min({b}, {size}+2)"
-            )
-        layers.append(layer)
-    return GrowthProfile(residues, tuple(layers), k_max)
+    return GrowthProfile(residues, _growth_layers(residues.bits, b), k_max)
 
 
 @dataclass(frozen=True)

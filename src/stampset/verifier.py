@@ -49,6 +49,7 @@ from .core import (
     ExceptionalProfile,
     FiniteIntegerSet,
     _bit_list,
+    _first_in_class,
     _first_members,
     _first_positions,
     _iter_bits,
@@ -59,7 +60,7 @@ from .core import (
     _walk,
     reflect,
 )
-from .modular import growth_profile, residues_mod_b
+from .modular import _growth_layers
 
 __all__ = [
     "StructureReport",
@@ -328,10 +329,14 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     P(A) can be pushed k-1 levels up: the target lies in NA already for
     N = max(1, 2k + b - |kB| - 1).
 
-    One walk over A's layers, ``core._walk``, answers both questions about
-    class a: the first layer that reaches its first member m gives the
-    minimal summand count, and with it the hypothesis, and layer N holds the
-    target or not.  The walk stops once both are known, or once the
+    |kB| comes from the raw growth kernel ``modular._growth_layers`` on A's
+    residue mask, run to saturation, so the growth-law assertion covers
+    every layer of every call; a normalized A already contains 0 and
+    generates Z/bZ.  The class's first member m is read off F with one
+    slice.  One walk over A's layers, ``core._walk``, answers both
+    questions about class a: the first layer that reaches m gives the
+    minimal summand count, and with it the hypothesis, and layer N holds
+    the target or not.  The walk stops once both are known, or once the
     hypothesis fails.
     """
     _require_normalized(a_set)
@@ -341,9 +346,13 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     b = elements[-1]
     _require_residue(residue, b)
     first_mask, _ = _first_members(elements)
-    member = _first_positions(first_mask, b)[residue - 1]
+    member = _first_in_class(first_mask, residue, b)
     target = member + (k - 1) * b
-    kb_size = growth_profile(residues_mod_b(a_set)).size_of(k)
+    residue_bits = 0
+    for x in elements[:-1]:  # b is the residue 0, already there as the element 0
+        residue_bits |= 1 << x
+    layers = _growth_layers(residue_bits, b)
+    kb_size = layers[k - 1].bit_count() if k <= len(layers) else b
     n_summands = max(1, 2 * k + b - kb_size - 1)
     hypothesis_met = holds = None
     for n, sumset, pending in _walk(elements, 1 << member):

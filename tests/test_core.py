@@ -206,6 +206,25 @@ def test_first_members_step_matches_the_full_profile():
         assert first_mask == sum(1 << n for n in first), a
 
 
+def test_first_in_class_matches_the_first_positions():
+    from itertools import combinations
+
+    from stampset.core import _first_in_class, _first_members, _first_positions
+
+    every_normalized = [
+        a
+        for b in range(2, 13)
+        for r in range(b)
+        for interior in combinations(range(1, b), r)
+        if (a := fis(0, *interior, b)).is_normalized
+    ]
+    for a in every_normalized + [fis(0, 7, 60, 800)]:
+        first_mask, _ = _first_members(a.elements)
+        first = _first_positions(first_mask, a.b)
+        for residue in range(1, a.b):
+            assert _first_in_class(first_mask, residue, a.b) == first[residue - 1], (a, residue)
+
+
 def test_represent_frozen_examples():
     cert = represent(10, fis(0, 3, 5), 2)
     assert cert.parts == (5, 5)

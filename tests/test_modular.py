@@ -12,6 +12,7 @@ from stampset import (
     NotGeneratingError,
     TooSmallError,
     appendix_family_threshold,
+    placement_check,
 )
 from stampset import modular
 from stampset.modular import (
@@ -34,6 +35,12 @@ def rs(values, modulus):
 def test_residue_set_rejects_a_bad_modulus_or_bits(modulus, bits):
     with pytest.raises(ValueError):
         ResidueSet(modulus, bits)
+
+
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_residue_set_of_rejects_a_bad_modulus_before_reducing(modulus):
+    with pytest.raises(ValueError, match=f"^modulus must be positive, got {modulus}$"):
+        ResidueSet.of([1, 2], modulus)
 
 
 def test_reduction_folds_top_element():
@@ -137,19 +144,40 @@ def test_growth_law_two_per_step_exhaustive_small():
 
 
 def test_growth_law_violation_raises(monkeypatch):
-    # 2B = {0,1,2,5,6} mod 7 grows by two; drop its top residue so it grows by one
-    sumset = modular.mod_sumset
-
-    def stalling(u, v):
-        layer = sumset(u, v)
-        return ResidueSet(layer.modulus, layer.bits & ~(1 << (layer.bits.bit_length() - 1)))
-
-    monkeypatch.setattr(modular, "mod_sumset", stalling)
-    with pytest.raises(
-        RuntimeError,
-        match=r"growth law violated at k=2 for \{0,1,6\} mod 7: \|kB\|=4 < min\(7, 3\+2\)",
-    ):
+    # 2B = {0,1,2,5,6} mod 7 grows by two; hide the residue 6 from the
+    # kernel's rotations so that it grows by one
+    bit_list = modular._bit_list
+    monkeypatch.setattr(modular, "_bit_list", lambda bits: bit_list(bits)[:-1])
+    message = r"growth law violated at k=2 for \{0,1,6\} mod 7: \|kB\|=4 < min\(7, 3\+2\)"
+    with pytest.raises(RuntimeError, match=message):
         growth_profile(rs({0, 1, 6}, 7))
+    # the placement check runs the same kernel on A's residues, for every k
+    for k in (1, 7):
+        with pytest.raises(RuntimeError, match=message):
+            placement_check(FiniteIntegerSet((0, 1, 6, 7)), 1, k)
+
+
+def test_growth_profile_matches_oracles_for_every_generating_set():
+    """Sizes for k <= b + 1 from iterating the brute-force sumset, and every
+    stabilizer of ``entries`` from the brute-force stabilizer, b <= 10."""
+    from math import gcd
+
+    for b in range(1, 11):
+        for bits in range(1, 1 << b, 2):  # every B containing 0
+            residues = ResidueSet(b, bits)
+            if gcd(b, *residues) != 1:
+                continue
+            prof = growth_profile(residues)
+            layer = set(residues)
+            layers = [layer]
+            for k in range(1, b + 2):
+                assert prof.size_of(k) == len(layer), (residues, k)
+                layer = brute_mod_sumset(layer, residues, b)
+                layers.append(layer)
+            assert prof.entries[-1].size == b, residues
+            for step in prof.entries:
+                expected = brute_stabilizer(layers[step.k - 1], b)
+                assert set(step.stabilizer.members()) == expected, (residues, step.k)
 
 
 def test_smallest_k_terminates_for_sparse_sets():
