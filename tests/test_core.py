@@ -180,7 +180,7 @@ def test_first_members_step_matches_the_full_profile():
     from itertools import combinations
     from random import Random
 
-    from stampset.core import _first_members, _first_positions
+    from stampset.core import _first_in_class, _first_members, _first_positions
 
     every_reflected = [
         reflect(a)
@@ -197,31 +197,14 @@ def test_first_members_step_matches_the_full_profile():
         a = FiniteIntegerSet.of((0, b, *interior))
         if a.is_normalized:
             random_sets.append(a)
-    for a in every_reflected + random_sets:
+    for a in every_reflected + random_sets + [fis(0, 7, 60, 800)]:
         prof = exceptional_profile(a)
         first_mask, gap_mask = _first_members(a.elements)
         first = _first_positions(first_mask, a.b)
         assert first == prof.first_reachable, a
         assert gap_mask == prof.gap_mask, a
         assert first_mask == sum(1 << n for n in first), a
-
-
-def test_first_in_class_matches_the_first_positions():
-    from itertools import combinations
-
-    from stampset.core import _first_in_class, _first_members, _first_positions
-
-    every_normalized = [
-        a
-        for b in range(2, 13)
-        for r in range(b)
-        for interior in combinations(range(1, b), r)
-        if (a := fis(0, *interior, b)).is_normalized
-    ]
-    for a in every_normalized + [fis(0, 7, 60, 800)]:
-        first_mask, _ = _first_members(a.elements)
-        first = _first_positions(first_mask, a.b)
-        for residue in range(1, a.b):
+        for residue in range(1, a.b):  # the one-class reader of placement_check
             assert _first_in_class(first_mask, residue, a.b) == first[residue - 1], (a, residue)
 
 
