@@ -171,19 +171,17 @@ def _cmd_scan(args) -> int:
     try:
         result = scan_theorems(config)
     except CatalogMismatchError as err:
-        if err.result is None:  # pragma: no cover - scan always attaches it
-            raise
         result = err.result
         code = 3
         sys.stderr.write(f"catalog mismatch: {err}\n")
     if args.out:
         try:
-            emit_report(result, "json", args.out)
+            emit_report(result, args.out)
         except OSError as err:
             sys.stderr.write(f"cannot write report: {err}\n")
             return 4
     else:
-        sys.stdout.write(render_report(result, "json"))
+        sys.stdout.write(render_report(result))
     return code
 
 

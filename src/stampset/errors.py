@@ -32,7 +32,13 @@ class DegenerateSetError(StampsetError):
 
 
 class InvalidSetError(StampsetError):
-    """The input set is not in normalized form (0 = min, gcd of elements 1)."""
+    """The input set, or a count that goes with it, is not acceptable.
+
+    Raised for a set that is not normalized (0 = min, gcd of elements 1),
+    for negative or unsorted elements, for a literal that is not a
+    comma-separated integer list or that repeats an element, and for an
+    ``analyze --N`` below 1.
+    """
 
 
 class NotRepresentableError(StampsetError):
@@ -67,6 +73,6 @@ class CatalogMismatchError(StampsetError):
     evidence survives the exception.
     """
 
-    def __init__(self, message: str, result=None):
+    def __init__(self, message: str, result):
         super().__init__(message)
         self.result = result

@@ -3,7 +3,7 @@
 The reduction B = A mod b of a normalized set A (top element b, so b and 0
 collapse) drives all threshold bounds: how fast the iterated sumsets kB
 grow in Z/bZ controls how soon NA fills out its interval description.  The
-key growth facts, all checked here at runtime:
+key growth facts:
 
   * |U + V| >= |U + H| + |V + H| - |H| for the stabilizer
     H = { g : g + (U+V) = U+V }  (Kneser's bound for cyclic groups);
@@ -12,6 +12,12 @@ key growth facts, all checked here at runtime:
   * |2B| >= min(b, ell + 3) always, and |2B| >= min(b, ell + 4) outside
     six explicit one-parameter families of sets (K1..K6, the sparse shapes
     tabled in :mod:`stampset.families`).
+
+Only the second, the growth law, is asserted here at runtime, on every
+layer ``_growth_layers`` builds.  Kneser's bound is checked by
+``tests/test_properties.py::test_sumset_size_respects_the_kneser_lower_bound``,
+and the two |2B| bounds by ``tests/test_modular.py`` and acceptance
+criterion 6.
 
 Residue sets are bitmasks over b bits; a modular sumset is an or of
 rotations, and subgroups of Z/bZ are enumerated as dZ/bZ for divisors d.

@@ -50,9 +50,7 @@ workers start.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
 import json
 import os
 import signal
@@ -383,85 +381,61 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
     return result
 
 
-def render_report(
-    result: ScanResult, format: str = "json", include_timing: bool = False
-) -> str:
-    """Serialize a result deterministically.
+def render_report(result: ScanResult, *, include_timing: bool = False) -> str:
+    """Serialize a result as canonical JSON.
 
-    JSON output is canonical: sorted keys, no whitespace, one trailing
-    newline, and no scheduling-dependent values (timing stays empty and
-    the echoed config omits the worker count) unless ``include_timing``
-    asks for wall-clock numbers.  CSV holds one row per failure.
+    Sorted keys, no whitespace, one trailing newline, and no
+    scheduling-dependent values (timing stays empty and the echoed config
+    omits the worker count) unless ``include_timing`` asks for wall-clock
+    numbers.
     """
-    if format == "json":
-        payload = {
-            "config": {
-                "b_min": result.config.b_min,
-                "b_max": result.config.b_max,
-                "ell_min": result.config.ell_min,
-                "ell_max": result.config.ell_max,
-                "delta": result.config.delta,
-                "witness_cap": result.config.witness_cap,
-            },
-            "sets_scanned": result.sets_scanned,
-            "skipped_gcd": result.skipped_gcd,
-            "failures": [
-                {
-                    "b": record.b,
-                    "set": _set_str(record.elements),
-                    "n": record.n_summands,
-                    "witnesses": list(record.witnesses),
-                    "witness_count": record.witness_count,
-                    "labels": list(record.labels),
-                }
-                for record in result.failures
-            ],
-            "catalog_mismatches": [
-                {
-                    "b": record.b,
-                    "set": _set_str(record.elements),
-                    "kind": record.kind,
-                    "detail": record.detail,
-                }
-                for record in result.catalog_mismatches
-            ],
-            "timing": (
-                {str(b): round(seconds, 6) for b, seconds in sorted(result.timing.items())}
-                if include_timing
-                else {}
-            ),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["b", "set", "n", "first_witness", "labels"])
-        for record in result.failures:
-            writer.writerow(
-                [
-                    record.b,
-                    _set_str(record.elements),
-                    record.n_summands,
-                    record.witnesses[0] if record.witnesses else "",
-                    "+".join(record.labels) if record.labels else "none",
-                ]
-            )
-        return buffer.getvalue()
-    raise ValueError(f"unknown report format: {format!r}")
+    payload = {
+        "config": {
+            "b_min": result.config.b_min,
+            "b_max": result.config.b_max,
+            "ell_min": result.config.ell_min,
+            "ell_max": result.config.ell_max,
+            "delta": result.config.delta,
+            "witness_cap": result.config.witness_cap,
+        },
+        "sets_scanned": result.sets_scanned,
+        "skipped_gcd": result.skipped_gcd,
+        "failures": [
+            {
+                "b": record.b,
+                "set": _set_str(record.elements),
+                "n": record.n_summands,
+                "witnesses": list(record.witnesses),
+                "witness_count": record.witness_count,
+                "labels": list(record.labels),
+            }
+            for record in result.failures
+        ],
+        "catalog_mismatches": [
+            {
+                "b": record.b,
+                "set": _set_str(record.elements),
+                "kind": record.kind,
+                "detail": record.detail,
+            }
+            for record in result.catalog_mismatches
+        ],
+        "timing": (
+            {str(b): round(seconds, 6) for b, seconds in sorted(result.timing.items())}
+            if include_timing
+            else {}
+        ),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def emit_report(
-    result: ScanResult,
-    format: str = "json",
-    destination: str = "",
-    include_timing: bool = False,
-) -> None:
+def emit_report(result: ScanResult, destination: str) -> None:
     """Write the rendered report to a file (UTF-8).
 
     The text goes to a new file beside the destination, which then replaces
     it in one step, so a failed write leaves an existing report intact.
     """
-    text = render_report(result, format, include_timing)
+    text = render_report(result)
     partial = f"{destination}.{os.getpid()}.tmp"
     handle = open(partial, "x", encoding="utf-8")
     try:

@@ -15,9 +15,11 @@ the arithmetic progression
 together with all multiples of b in [0, bN].  NA is always contained in
 the description; the question is for which N the two agree.
 
-Every entry point reads one per-set analysis: the first members and gap
-masks of A and of b-A, as masks; which class each first member belongs
-to is read only by the readers that print or compare it.  The mask of
+Every entry point but ``placement_check`` reads one per-set analysis: the
+first members and gap masks of A and of b-A, as masks; which class each
+first member belongs to is read only by the readers that print or compare
+it.  ``placement_check`` reads only A's first-member mask F and runs its
+own walk from the one first member it tests.  The mask of
 E(b-A) is bit-reversed once, so one shift places each gap g at bN - g.
 The one walk over the layers NA, ``core._walk``, does the rest: each
 reader goes over it and folds what it needs.  A layer clears the first

@@ -236,6 +236,18 @@ def test_scan_catalog_mismatch_exit_code(capsys, tmp_path):
     assert payload["catalog_mismatches"]
 
 
+@pytest.mark.parametrize("delta, expected_code", [("1", 0), ("2", 3)])
+def test_scan_report_file_holds_the_printed_bytes(capsys, tmp_path, delta, expected_code):
+    # delta 2 exits 3 on the known catalog gap, with or without --out
+    destination = tmp_path / "report.json"
+    argv = ("scan", "--bmax", "9", "--delta", delta)
+    printed_code, printed, _ = run_cli(capsys, *argv)
+    written_code, out, _ = run_cli(capsys, *argv, "--out", str(destination))
+    assert printed_code == written_code == expected_code
+    assert out == ""
+    assert destination.read_bytes() == printed.encode("utf-8")
+
+
 def test_scan_worker_count_is_set_by_jobs_alone(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scan", "--bmax", "6", "--jobs", "2")
     assert code == 0

@@ -239,7 +239,6 @@ def test_reports_identical_across_parallelism():
         one = _scan_or_attached(ScanConfig(b_min, b_max, delta=delta, parallelism=1))
         two = _scan_or_attached(ScanConfig(b_min, b_max, delta=delta, parallelism=2))
         assert render_report(one) == render_report(two)
-        assert render_report(one, "csv") == render_report(two, "csv")
 
 
 def test_merge_orders_a_sets_failures_by_n(monkeypatch):
@@ -310,43 +309,28 @@ def test_json_report_shape():
     assert timed["timing"] == {"2": 0.5}
 
 
-def test_csv_report_row_frozen():
-    result = ScanResult(
-        ScanConfig(6, 6, delta=0),
-        10,
-        2,
-        (FailureRecord(6, (0, 1, 5, 6), 3, (4, 9, 14), 3, ()),),
-        (),
-        {},
-    )
-    text = render_report(result, "csv")
-    lines = text.splitlines()
-    assert lines[0] == "b,set,n,first_witness,labels"
-    assert lines[1] == '6,"{0,1,5,6}",3,4,none'
-
-
-def test_csv_report_includes_labels():
-    result = ScanResult(
-        ScanConfig(6, 6, delta=1),
-        10,
-        2,
-        (FailureRecord(6, (0, 1, 5, 6), 3, (4,), 3, ("F2(a=4)", "F2(a=4)~")),),
-        (),
-        {},
-    )
-    assert "F2(a=4)+F2(a=4)~" in render_report(result, "csv").splitlines()[1]
-
-
-def test_render_rejects_unknown_format():
+def test_report_arguments_beyond_the_result_are_gone(tmp_path):
+    # JSON is the one format: a format argument no longer binds to anything
     empty = ScanResult(ScanConfig(2, 2), 0, 0, (), (), {})
-    with pytest.raises(ValueError):
-        render_report(empty, "xml")
+    with pytest.raises(TypeError):
+        render_report(empty, "csv")
+    with pytest.raises(TypeError):
+        emit_report(empty, "json", str(tmp_path / "report.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_catalog_mismatch_error_requires_the_result():
+    # the scan always attaches its result, so the error cannot be built without one
+    with pytest.raises(TypeError):
+        CatalogMismatchError("x")
+    empty = ScanResult(ScanConfig(2, 2), 0, 0, (), (), {})
+    assert CatalogMismatchError("x", empty).result is empty
 
 
 def test_emit_report_round_trip(tmp_path):
     result = scan_theorems(ScanConfig(2, 6, delta=1))
     destination = tmp_path / "report.json"
-    emit_report(result, "json", str(destination))
+    emit_report(result, str(destination))
     assert json.loads(destination.read_text(encoding="utf-8")) == json.loads(
         render_report(result)
     )
@@ -355,7 +339,7 @@ def test_emit_report_round_trip(tmp_path):
 def test_emit_report_bad_destination(tmp_path):
     result = ScanResult(ScanConfig(2, 2), 0, 0, (), (), {})
     with pytest.raises(OSError):
-        emit_report(result, "json", str(tmp_path / "missing" / "report.json"))
+        emit_report(result, str(tmp_path / "missing" / "report.json"))
 
 
 class _DiskFullHandle:
@@ -388,7 +372,7 @@ def test_emit_report_failed_write_keeps_existing_report(tmp_path, monkeypatch):
     )
     result = scan_theorems(ScanConfig(2, 6, delta=1))
     with pytest.raises(OSError):
-        emit_report(result, "json", str(destination))
+        emit_report(result, str(destination))
     assert destination.read_text(encoding="utf-8") == "previous report\n"
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
