@@ -80,7 +80,7 @@ def _cmd_analyze(args) -> int:
             "min_summands": list(prof.min_summands),
             "max_summands": prof.max_summands,
             "min_threshold": threshold,
-            "holds_for_all_n": analysis.holds_for_all_n(prof),
+            "holds_for_all_n": threshold == 1,
             "report": {
                 "n": report.n_summands,
                 "holds": report.holds,

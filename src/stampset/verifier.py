@@ -15,12 +15,12 @@ the arithmetic progression
 together with all multiples of b in [0, bN].  NA is always contained in
 the description; the question is for which N the two agree.
 
-Every entry point but ``placement_check`` reads one per-set analysis: the
-first members and gap masks of A and of b-A, as masks; which class each
-first member belongs to is read only by the readers that print or compare
-it.  ``placement_check`` reads only A's first-member mask F and runs its
-own walk from the one first member it tests.  The mask of
-E(b-A) is bit-reversed once, so one shift places each gap g at bN - g.
+Every entry point but ``placement_check`` reads one per-set analysis:
+A's first-member mask F, and the gap masks of A and of b-A; which class
+each first member belongs to is read only by the readers that print or
+compare it.  ``placement_check`` reads only F and runs its own walk from
+the one first member it tests.  The mask of E(b-A) is bit-reversed once,
+so one shift places each gap g at bN - g.
 The one walk over the layers NA, ``core._walk``, does the rest: each
 reader goes over it and folds what it needs.  A layer clears the first
 members of A it reaches (the threshold and report record A's minimal
@@ -37,9 +37,7 @@ relies on:
   * the description holds for every N >= b - ell (ell = interior count);
   * if it holds at an anchor N0 at least as large as every per-class
     minimal summand count, it holds for all N >= N0 -- so scanning
-    N = 1 .. max(b - ell, max_summands) determines the exact threshold;
-  * it holds at every N >= 1 if and only if, for every class a,
-    first_A(a) + first_{b-A}(b-a) equals b times min_summands_A(a).
+    N = 1 .. max(b - ell, max_summands) determines the exact threshold.
 """
 
 from __future__ import annotations
@@ -101,24 +99,24 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """The first members of A and of b-A, and what entry points read off A's layers.
+    """The first members of A, the gaps of A and of b-A, and what entry points
+    read off A's layers.
 
     ``mirror`` is b-A, built once; the scan classifies it and emits its
     records.  ``first_mask`` and ``gap_mask`` are F and the gap mask of A,
     the first step of its profile; its summand counts come from the one
     walk over A's layers, ``core._walk``, which every reader goes over
-    itself.  ``reflected_mask`` is F of b-A.  The class of each first
-    member is read only by the readers that want it.  ``mirrored`` is the
-    gap mask of b-A reversed over [0, mirror_width], where mirror_width is
-    its largest gap (-1 without gaps): gap g sits at bit mirror_width - g,
-    so a shift by bN - mirror_width moves it to bN - g.
+    itself.  The class of each first member is read only by the readers
+    that want it.  ``mirrored`` is the gap mask of b-A reversed over
+    [0, mirror_width], where mirror_width is its largest gap (-1 without
+    gaps): gap g sits at bit mirror_width - g, so a shift by
+    bN - mirror_width moves it to bN - g.
     """
 
     a_set: FiniteIntegerSet
     mirror: FiniteIntegerSet
     first_mask: int
     gap_mask: int
-    reflected_mask: int
     mirrored: int
     mirror_width: int
 
@@ -245,17 +243,6 @@ class _Analysis:
         )
         return last_bad + 1, report, profile
 
-    def holds_for_all_n(self, profile: ExceptionalProfile) -> bool:
-        """first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a) for every class a,
-        with ``profile`` the full profile of A."""
-        b = self.a_set.b
-        first_r = _first_positions(self.reflected_mask, b)  # first_reachable of b-A
-        for a in range(1, b):
-            lhs = profile.first_reachable[a - 1] + first_r[b - a - 1]
-            if lhs != b * profile.min_summands[a - 1]:
-                return False
-        return True
-
 
 def _check_request(n_summands: int, witness_cap: int) -> None:
     if witness_cap < 1:
@@ -264,14 +251,14 @@ def _check_request(n_summands: int, witness_cap: int) -> None:
 
 
 def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
-    """Find the first members of A (so unnormalized input names A) and of b - A,
-    building b - A once."""
+    """Find the first members and gaps of A (so unnormalized input names A) and
+    the gaps of b - A, building b - A once."""
     _require_normalized(a_set)
     mirror = reflect(a_set)
-    first_r, gaps_r = _first_members(mirror.elements)
+    _, gaps_r = _first_members(mirror.elements)
     width = gaps_r.bit_length()
     first, gaps = _first_members(a_set.elements)
-    return _Analysis(a_set, mirror, first, gaps, first_r, _reverse_bits(gaps_r, width), width - 1)
+    return _Analysis(a_set, mirror, first, gaps, _reverse_bits(gaps_r, width), width - 1)
 
 
 def check_structure(
@@ -300,12 +287,13 @@ def min_threshold(a_set: FiniteIntegerSet) -> int:
 def all_n_criterion(a_set: FiniteIntegerSet) -> bool:
     """Exact test for the description holding at every N >= 1.
 
-    True iff for each class a the least class-a member of P(A) and the
-    least class-(b-a) member of P(b-A) sit at opposite ends of a common
-    sumset layer: first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a).
+    The verdict is read off the minimal threshold: the description holds at
+    every N >= 1 exactly when that threshold is 1.  Equivalently, for each
+    class a the least class-a member of P(A) and the least class-(b-a)
+    member of P(b-A) sit at opposite ends of a common sumset layer:
+    first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a).
     """
-    analysis = _analyze(a_set)
-    return analysis.holds_for_all_n(analysis.threshold_and_report()[2])
+    return min_threshold(a_set) == 1
 
 
 @dataclass(frozen=True)

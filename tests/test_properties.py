@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stampset import (
+    FiniteIntegerSet,
     NotRepresentableError,
     all_n_criterion,
     check_structure,
@@ -31,6 +32,8 @@ from stampset import (
     stabilizer,
 )
 from stampset.modular import ResidueSet
+
+from oracles import brute_nfold
 
 
 @st.composite
@@ -107,6 +110,26 @@ def test_representation_certificates_are_sound(a_set, n):
             with pytest.raises(NotRepresentableError):
                 represent(target, a_set, n)
             break
+
+
+@given(raw=raw_sets(max_value=40), n=st.integers(min_value=1, max_value=4))
+def test_sumsets_and_certificates_of_unnormalized_sets(raw, n):
+    # N(g*B + tau) = g*NB + N*tau, on the raw set itself
+    g, tau, normalized = normalize(raw)
+    a_set = FiniteIntegerSet.of(raw)
+    reachable = set(n_fold_sumset(a_set, n))
+    assert reachable == {g * m + n * tau for m in n_fold_sumset(normalized, n)}
+    assert reachable == brute_nfold(raw, n)
+    for target in sorted(reachable)[:: max(1, len(reachable) // 12)]:
+        cert = represent(target, a_set, n)
+        assert (cert.target, cert.n_summands) == (target, n)
+        assert sum(cert.parts) == target
+        assert len(cert.parts) == n
+        assert all(part in a_set for part in cert.parts)
+    missing = next((t for t in range(a_set.b * n + 1) if t not in reachable), None)
+    if missing is not None:
+        with pytest.raises(NotRepresentableError):
+            represent(missing, a_set, n)
 
 
 @given(a_set=normalized_sets(max_value=18, max_size=8))

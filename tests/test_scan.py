@@ -392,13 +392,13 @@ def test_report_bytes_are_pinned(delta, digest):
 @pytest.mark.parametrize(
     "delta, digest",
     [
-        (0, "5761fec43fb08bfd473dbfc963d78ed364e01c786f667850bdca3f775e50ad68"),
-        (1, "5bdeedc46d061b4376f5cb78b43189abacc21639045d943170cb406d0cce9e3d"),
-        (2, "743b75f22fbae0496d4b774ce7d3e080eaa822c62399239b9c0f37338001e768"),
+        (0, "1443422c13815ae5000ca94a574bddccbbd501616495ff0f9a8530d02c5230ba"),
+        (1, "a4ae265ea9255e1a328a9d2114a1a50804ea99305bf2bcb73a4f925db1bb151d"),
+        (2, "49514c609e8aa1a2b2cd342fde27d928f24eb509223ac679b185ccaff2cad57a"),
     ],
 )
-def test_report_bytes_are_pinned_up_to_b_14(delta, digest):
-    _assert_report_digest(ScanConfig(2, 14, delta=delta), digest)
+def test_report_bytes_are_pinned_up_to_b_16(delta, digest):
+    _assert_report_digest(ScanConfig(2, 16, delta=delta), digest)
 
 
 def _assert_report_digest(config, digest):

@@ -289,9 +289,17 @@ def test_all_n_criterion_examples():
     assert all_n_criterion(fis(0, 1))
 
 
-def test_all_n_criterion_equivalent_to_threshold_one():
+def test_all_n_criterion_matches_the_per_class_identity():
+    # the description holds at every N >= 1 exactly when, for each class a,
+    # first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a)
     for a in every_normalized(10):
-        assert all_n_criterion(a) == (min_threshold(a) == 1), a
+        b = a.b
+        first, first_r = brute_first_reachable(a.elements)
+        summands = cached_brute_profile(a.elements)[1]
+        identity = all(
+            first[c - 1] + first_r[b - c - 1] == b * summands[c - 1] for c in range(1, b)
+        )
+        assert all_n_criterion(a) == identity, a
 
 
 def test_placement_check_frozen_example():
