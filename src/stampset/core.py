@@ -30,10 +30,12 @@ below first_reachable[a].
 
 Sets of reachable sums are held as Python integers used as bitmasks
 (bit n set <=> n reachable), so one shift-or applies a summand to every
-partial sum at once.  The profile's min_summands, every reader of the
-verifier's per-set analysis and the placement check go over one walk of
-the layers NA, ``_walk``, which also reads off when each first member
-appears; ``n_fold_sumset`` and ``represent`` build their layers with
+partial sum at once.  The first members are found as one mask F with one
+producer, ``_first_members``, and one reader, the walk of the layers NA,
+``_walk``: it meets each member in the layer that first reaches it, which
+gives the profile both its first_reachable and its min_summands.  The
+verifier's per-set analysis and the placement check go over that walk as
+well; ``n_fold_sumset`` and ``represent`` build their layers with
 ``_iter_nfold``.
 """
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from math import gcd
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -81,6 +84,13 @@ class FiniteIntegerSet:
             raise DegenerateSetError(
                 f"need at least two elements, got {list(self.elements)}"
             )
+        try:
+            for x in self.elements:
+                index(x)
+        except TypeError:
+            raise InvalidSetError(
+                f"elements must be integers, got {list(self.elements)}"
+            ) from None
         if self.elements[0] < 0:
             raise InvalidSetError("elements must be non-negative")
         if any(x >= y for x, y in zip(self.elements, self.elements[1:])):
@@ -275,8 +285,8 @@ def _first_members(elements: tuple[int, ...]) -> tuple[int, int]:
     ``elements`` are those of a normalized set A; F is the first members
     as one bitmask.  P(A) is closed under adding b, so n > 0 is its class's
     first member exactly when n is in P(A) and n - b is not: F is
-    P & ~(P << b) without 0.  Which class each member of F belongs to is
-    read only where it is wanted, by ``_first_positions``.
+    P & ~(P << b) without 0.  F has one reader, ``_walk``, which meets each
+    member in the layer that first reaches it.
     """
     b = elements[-1]
     bound = (b - 1) ** 2
@@ -288,43 +298,18 @@ def _first_members(elements: tuple[int, ...]) -> tuple[int, int]:
     return first_mask, gap_mask
 
 
-def _first_positions(first_mask: int, b: int) -> tuple[int, ...]:
-    """first_reachable from F: index a-1 holds the member of class a mod b.
-
-    The b - 1 positions of F are read off one bin() string, one find per
-    position.  F spans up to (b-1)^2 bits, too sparse for ``_bit_list``,
-    which visits every bit.
-    """
-    first = [0] * (b - 1)
-    digits = bin(first_mask)[:1:-1]  # digit n is bit n
-    n = digits.find("1")
-    while n >= 0:
-        first[n % b - 1] = n
-        n = digits.find("1", n + 1)
-    return tuple(first)
-
-
-def _first_in_class(first_mask: int, residue: int, b: int) -> int:
-    """The member of F in class ``residue`` mod b, 1 <= residue <= b - 1.
-
-    One slice of F's bin() string visits only the class's digits, in C.
-    """
-    digits = bin(first_mask)[:1:-1]  # digit n is bit n
-    return residue + b * digits[residue::b].index("1")
-
-
 def _walk(
-    elements: tuple[int, ...], first_mask: int, summands: list[int] | None = None
+    elements: tuple[int, ...], first_mask: int, firsts: list[tuple[int, int]] | None = None
 ) -> Iterator[tuple[int, int, int]]:
     """(N, NA, pending) for N = 1, 2, ..., each layer built once, in one frame.
 
     ``elements`` are those of a normalized set A and ``first_mask`` its F,
-    or the part of F a reader asks about.
+    or the part of F a reader asks about; the walk is F's one reader.
     Since 0 is in A, NA contains (N-1)A, so each layer is the one before,
     or-ed with its shifts by the non-zero elements.  Every layer clears the
     first members it reaches from F, and ``pending`` is what is left; with
-    ``summands`` given it also records N for each of them in ``summands``
-    (index a-1 for class a), their minimal summand counts.
+    ``firsts`` given (b - 1 slots) it also records each of them with N,
+    its minimal summand count, as (member, N) at index a-1 for class a.
     """
     b, shifts = elements[-1], elements[1:]
     pending = first_mask
@@ -337,9 +322,9 @@ def _walk(
         reached = sumset & pending
         if reached:
             pending ^= reached
-            if summands is not None:
+            if firsts is not None:
                 for n in _iter_bits(reached):
-                    summands[n % b - 1] = n_summands
+                    firsts[n % b - 1] = (n, n_summands)
         if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
             raise RuntimeError("minimal summand counts did not stabilize")
         yield n_summands, sumset, pending
@@ -381,26 +366,34 @@ class ExceptionalProfile:
         return max(self.min_summands, default=0)
 
 
+def _profile(b: int, firsts: list[tuple[int, int]], gap_mask: int) -> ExceptionalProfile:
+    """The profile from the (member, N) pairs a walk recorded and the gap mask."""
+    return ExceptionalProfile(
+        b, tuple(n for n, _ in firsts), tuple(s for _, s in firsts), gap_mask
+    )
+
+
 def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     """Compute first_reachable, min_summands and the gap mask of E(A).
 
     Two steps: ``_first_members`` reads the first members, as a mask, and
     the gap mask off the semigroup mask, and ``_walk`` goes over the layers
-    NA until each first member has appeared.  The first step works inside
-    [0, (b-1)^2]: a minimal representative of a non-zero class never uses
-    the summand b (dropping it would yield a smaller member of the same
-    class) and needs at most b-1 summands, each at most b-1, so every
-    first_reachable value, and with it every gap, fits under that bound.
+    NA until each first member has appeared, recording it with its layer.
+    The first step works inside [0, (b-1)^2]: a minimal representative of
+    a non-zero class never uses the summand b (dropping it would yield a
+    smaller member of the same class) and needs at most b-1 summands, each
+    at most b-1, so every first_reachable value, and with it every gap,
+    fits under that bound.
     """
     _require_normalized(a_set)
     elements = a_set.elements
     b = elements[-1]
     first_mask, gap_mask = _first_members(elements)
-    summands = [0] * (b - 1)
-    for _, _, pending in _walk(elements, first_mask, summands):
+    firsts = [(0, 0)] * (b - 1)
+    for _, _, pending in _walk(elements, first_mask, firsts):
         if not pending:
             break
-    return ExceptionalProfile(b, _first_positions(first_mask, b), tuple(summands), gap_mask)
+    return _profile(b, firsts, gap_mask)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ class InvalidSetError(StampsetError):
     """The input set, or a count that goes with it, is not acceptable.
 
     Raised for a set that is not normalized (0 = min, gcd of elements 1),
-    for negative or unsorted elements, for a literal that is not a
+    for elements that ``operator.index`` refuses (such as 1.5 or 2.0), for
+    negative or unsorted elements, for a literal that is not a
     comma-separated integer list or that repeats an element, and for an
     ``analyze --N`` below 1.
     """

@@ -93,6 +93,11 @@ class ScanConfig:
             raise ValueError(
                 f"need 2 <= b_min <= b_max, got [{self.b_min}, {self.b_max}]"
             )
+        ells = [x for x in (self.ell_min, self.ell_max) if x is not None]
+        if any(x < 0 for x in ells) or ells != sorted(ells):
+            raise ValueError(
+                f"need 0 <= ell_min <= ell_max, got [{self.ell_min}, {self.ell_max}]"
+            )
         if self.delta not in (0, 1, 2):
             raise ValueError(f"delta must be 0, 1 or 2, got {self.delta}")
         if self.parallelism < 1:

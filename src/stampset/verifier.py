@@ -16,23 +16,22 @@ together with all multiples of b in [0, bN].  NA is always contained in
 the description; the question is for which N the two agree.
 
 Every entry point but ``placement_check`` reads one per-set analysis:
-A's first-member mask F, and the gap masks of A and of b-A; which class
-each first member belongs to is read only by the readers that print or
-compare it.  ``placement_check`` reads only F and runs its own walk from
-the one first member it tests.  The mask of E(b-A) is bit-reversed once,
-so one shift places each gap g at bN - g.
-The one walk over the layers NA, ``core._walk``, does the rest: each
-reader goes over it and folds what it needs.  A layer clears the first
-members of A it reaches (the threshold and report record A's minimal
-summand counts on the way; the scan's failures need only know when none
-is pending), and is checked against D(N) without building it: the gaps
-of A against the bottom of the layer, the mirrored gaps of b-A against
-its top, and one count of NA against |D(N)| = bN + 1 - |gaps inside
-[0, bN]|, counted on the narrow gap masks.  D(N) itself, and D(N) minus
-NA, are built only at failing layers whose witnesses are wanted.  A
-reader stops at the anchor, the first N >= b - ell at which no first
-member is pending, or at a requested N beyond it.  Facts this module
-relies on:
+A's first-member mask F, and the gap masks of A and of b-A.
+``placement_check`` keeps only the one bit of F in the class it tests and
+runs its own walk from it.  The mask of E(b-A) is bit-reversed once, so
+one shift places each gap g at bN - g.
+The one walk over the layers NA, ``core._walk``, does the rest, and is
+F's only reader: each reader goes over it and folds what it needs.  A
+layer clears the first members of A it reaches (the threshold and report
+record each with its layer, which is A's profile; the scan's failures
+need only know when none is pending), and is checked against D(N)
+without building it: the gaps of A against the bottom of the layer, the
+mirrored gaps of b-A against its top, and one count of NA against
+|D(N)| = bN + 1 - |gaps inside [0, bN]|, counted on the narrow gap
+masks.  D(N) itself, and D(N) minus NA, are built only at failing layers
+whose witnesses are wanted.  A reader stops at the anchor, the first
+N >= b - ell at which no first member is pending, or at a requested N
+beyond it.  Facts this module relies on:
 
   * the description holds for every N >= b - ell (ell = interior count);
   * if it holds at an anchor N0 at least as large as every per-class
@@ -49,10 +48,9 @@ from .core import (
     ExceptionalProfile,
     FiniteIntegerSet,
     _bit_list,
-    _first_in_class,
     _first_members,
-    _first_positions,
     _iter_bits,
+    _profile,
     _require_normalized,
     _require_residue,
     _require_summands,
@@ -104,13 +102,13 @@ class _Analysis:
 
     ``mirror`` is b-A, built once; the scan classifies it and emits its
     records.  ``first_mask`` and ``gap_mask`` are F and the gap mask of A,
-    the first step of its profile; its summand counts come from the one
-    walk over A's layers, ``core._walk``, which every reader goes over
-    itself.  The class of each first member is read only by the readers
-    that want it.  ``mirrored`` is the gap mask of b-A reversed over
-    [0, mirror_width], where mirror_width is its largest gap (-1 without
-    gaps): gap g sits at bit mirror_width - g, so a shift by
-    bN - mirror_width moves it to bN - g.
+    the first step of its profile.  F is read only by the one walk over
+    A's layers, ``core._walk``, which every reader goes over itself; the
+    threshold walk records each first member with its minimal summand
+    count there, and the profile is built from that record.  ``mirrored``
+    is the gap mask of b-A reversed over [0, mirror_width], where
+    mirror_width is its largest gap (-1 without gaps): gap g sits at bit
+    mirror_width - g, so a shift by bN - mirror_width moves it to bN - g.
     """
 
     a_set: FiniteIntegerSet
@@ -188,7 +186,7 @@ class _Analysis:
         """The anchor, and every N from n_lo to the anchor where the description is strict.
 
         The layers from n_lo to the anchor are checked; the walk clears F as
-        a mask and records no summand counts.  Each failure is
+        a mask and records no first members.  Each failure is
         (N, missing count, witnesses of A, witnesses of b-A).  Since n lies
         in NA exactly when bN - n lies in N(b-A), b-A fails at the same N
         with the same count, and its witnesses are bN - w for the largest
@@ -214,17 +212,18 @@ class _Analysis:
         """The least N0 >= 1 from which the description holds, the report at N,
         and the full profile of A.
 
-        One walk checks every layer up to the anchor, reading the summand
-        counts on the way, and goes on to N if N lies beyond it, checking
-        only N there.  Without N the report is None.
+        One walk checks every layer up to the anchor, recording each first
+        member with its minimal summand count on the way, and goes on to N
+        if N lies beyond it, checking only N there.  Without N the report is
+        None.  The profile is built from the walk's record.
         """
         if n_summands is not None:
             _check_request(n_summands, witness_cap)
         b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
-        summands = [0] * (b - 1)
+        firsts = [(0, 0)] * (b - 1)
         anchor = last_bad = 0
         report = None
-        for n, sumset, pending in _walk(self.a_set.elements, self.first_mask, summands):
+        for n, sumset, pending in _walk(self.a_set.elements, self.first_mask, firsts):
             missing = self._missing(n, sumset) if not anchor or n == n_summands else 0
             if n == n_summands:
                 report = self._report(n, sumset, missing, witness_cap)
@@ -238,10 +237,7 @@ class _Analysis:
                 f"description fails at the anchor N={anchor} for {self.a_set}; "
                 "this contradicts the threshold theorem and indicates a bug"
             )
-        profile = ExceptionalProfile(
-            b, _first_positions(self.first_mask, b), tuple(summands), self.gap_mask
-        )
-        return last_bad + 1, report, profile
+        return last_bad + 1, report, _profile(b, firsts, self.gap_mask)
 
 
 def _check_request(n_summands: int, witness_cap: int) -> None:
@@ -322,12 +318,13 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     |kB| comes from the raw growth kernel ``modular._growth_layers`` on A's
     residue mask, run to saturation, so the growth-law assertion covers
     every layer of every call; a normalized A already contains 0 and
-    generates Z/bZ.  The class's first member m is read off F with one
-    slice.  One walk over A's layers, ``core._walk``, answers both
-    questions about class a: the first layer that reaches m gives the
-    minimal summand count, and with it the hypothesis, and layer N holds
-    the target or not.  The walk stops once both are known, or once the
-    hypothesis fails.
+    generates Z/bZ.  The class's first member m is the one bit of F among
+    the bits a + jb, kept with one AND.  The walk from it over A's layers,
+    ``core._walk``, is what reads it, and answers both questions about
+    class a: the first layer that reaches m gives the minimal summand
+    count, and with it the hypothesis, and layer N holds the target or
+    not.  The walk stops once both are known, or once the hypothesis
+    fails.
     """
     _require_normalized(a_set)
     if k < 1:
@@ -336,8 +333,10 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     b = elements[-1]
     _require_residue(residue, b)
     first_mask, _ = _first_members(elements)
-    member = _first_in_class(first_mask, residue, b)
-    target = member + (k - 1) * b
+    rows = first_mask.bit_length() // b + 1  # F lies below rows * b
+    class_bits = ((1 << rows * b) - 1) // ((1 << b) - 1)  # bits jb for j < rows
+    first = first_mask & class_bits << residue  # the one bit of F in class a
+    target = first.bit_length() - 1 + (k - 1) * b
     residue_bits = 0
     for x in elements[:-1]:  # b is the residue 0, already there as the element 0
         residue_bits |= 1 << x
@@ -345,7 +344,7 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     kb_size = layers[k - 1].bit_count() if k <= len(layers) else b
     n_summands = max(1, 2 * k + b - kb_size - 1)
     hypothesis_met = holds = None
-    for n, sumset, pending in _walk(elements, 1 << member):
+    for n, sumset, pending in _walk(elements, first):
         if n == n_summands:
             holds = (sumset >> target) & 1 == 1
         if hypothesis_met is None and not pending:  # n is the minimal summand count

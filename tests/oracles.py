@@ -28,24 +28,21 @@ def brute_profile(elements):
     """(first_reachable, min_summands, gaps) per non-zero class mod b.
 
     Uses sums of at most b-1 elements, which is enough: a minimal class
-    representative needs at most b-1 summands.
+    representative needs at most b-1 summands.  The elements hold 0, so
+    the layers kA are nested: kA is (k-1)A together with A plus the sums
+    new in (k-1)A, and each sum is met once, in the least k that has it.
     """
     b = max(elements)
-    first = []
-    summands = []
-    layers = [{0}]
-    for _ in range(b - 1):
-        layers.append({r + a for r in layers[-1] for a in elements})
-    for a in range(1, b):
-        candidates = [
-            (n, k)
-            for k, layer in enumerate(layers)
-            for n in layer
-            if n >= 1 and n % b == a
-        ]
-        n_min = min(n for n, _ in candidates)
-        first.append(n_min)
-        summands.append(min(k for n, k in candidates if n == n_min))
+    least = {}  # class a -> least (n, k) with n in kA, n >= 1, n = a (mod b)
+    seen = new = {0}
+    for k in range(1, b):
+        new = {r + a for r in new for a in elements} - seen
+        seen = seen | new
+        for n in new:
+            if n % b:
+                least[n % b] = min(least.get(n % b, (n, k)), (n, k))
+    first = [least[a][0] for a in range(1, b)]
+    summands = [least[a][1] for a in range(1, b)]
     gaps = sorted(
         n for a in range(1, b) for n in range(a, first[a - 1], b)
     )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,11 @@ def test_construction_rejects_degenerate_and_unsorted():
         FiniteIntegerSet((0, 3, 3))
     with pytest.raises(InvalidSetError):
         FiniteIntegerSet((-1, 3))
+    for values in [(0, 1.5, 3), (0, 2.0, 3), (0, "1", 3)]:  # operator.index refuses these
+        with pytest.raises(InvalidSetError, match="elements must be integers"):
+            FiniteIntegerSet(values)
+    with pytest.raises(errors.StampsetError):
+        FiniteIntegerSet.of([3, 0, 1.5])
 
 
 def test_basic_accessors():
@@ -180,7 +187,8 @@ def test_first_members_step_matches_the_full_profile():
     from itertools import combinations
     from random import Random
 
-    from stampset.core import _first_in_class, _first_members, _first_positions
+    from stampset.core import _first_members
+    from stampset.verifier import placement_check
 
     every_reflected = [
         reflect(a)
@@ -200,12 +208,11 @@ def test_first_members_step_matches_the_full_profile():
     for a in every_reflected + random_sets + [fis(0, 7, 60, 800)]:
         prof = exceptional_profile(a)
         first_mask, gap_mask = _first_members(a.elements)
-        first = _first_positions(first_mask, a.b)
-        assert first == prof.first_reachable, a
         assert gap_mask == prof.gap_mask, a
-        assert first_mask == sum(1 << n for n in first), a
-        for residue in range(1, a.b):  # the one-class reader of placement_check
-            assert _first_in_class(first_mask, residue, a.b) == first[residue - 1], (a, residue)
+        assert first_mask == sum(1 << n for n in prof.first_reachable), a
+        for residue in range(1, a.b):  # the one-class AND of placement_check
+            target = placement_check(a, residue, 1).target
+            assert target == prof.first_reachable_in(residue), (a, residue)
 
 
 def test_represent_frozen_examples():
@@ -271,6 +278,20 @@ def test_public_names_are_listed_once_in_their_modules():
     star: dict[str, object] = {}
     exec("from stampset import *", star)
     assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+
+
+def test_benchmark_layer_names_resolve():
+    # the benchmark's per-layer metrics wrap these names; a lost one reads 0
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"
+    )
+    assert len(layers) == 10
+    for module, function in layers:
+        target = getattr(importlib.import_module(f"stampset.{module}"), function, None)
+        assert callable(target), (module, function)
 
 
 def test_version_matches_pyproject():

@@ -101,6 +101,22 @@ def test_config_validation():
         ScanConfig(2, 4, parallelism=0)
     with pytest.raises(ValueError):
         ScanConfig(2, 4, witness_cap=0)
+    for ell_min, ell_max in [(3, 1), (-1, None), (None, -1), (-2, 3)]:  # empty or negative
+        with pytest.raises(ValueError, match="need 0 <= ell_min <= ell_max"):
+            ScanConfig(2, 4, ell_min=ell_min, ell_max=ell_max)
+
+
+def test_windowed_scan_reports_are_pinned():
+    # interior-size windows, down to one size, with their report bytes
+    pinned = {
+        (1, 3, 1): (345, "7847242f5b0d747f"),
+        (2, 2, 0): (109, "fb3715b0d6885c1e"),
+        (0, 0, 0): (0, "dec8d99c0d02659a"),
+    }
+    for (ell_min, ell_max, delta), (scanned, digest) in pinned.items():
+        result = scan_theorems(ScanConfig(2, 10, ell_min=ell_min, ell_max=ell_max, delta=delta))
+        assert result.sets_scanned == scanned
+        assert hashlib.sha256(render_report(result).encode()).hexdigest()[:16] == digest
 
 
 def test_delta_zero_scan_is_clean():

@@ -161,9 +161,9 @@ def test_walk_matches_brute_force_layers_and_profiles():
     for a in every_normalized(12):
         b, elements = a.b, a.elements
         analysis = _analyze(a)
-        summands = [0] * (b - 1)
+        firsts = [(0, 0)] * (b - 1)
         anchor = 0
-        walk = zip(_walk(elements, analysis.first_mask, summands), brute_layers(elements))
+        walk = zip(_walk(elements, analysis.first_mask, firsts), brute_layers(elements))
         for (n, sumset, pending), layer in walk:
             missing = analysis._missing(n, sumset)
             if n <= 2:
@@ -176,9 +176,9 @@ def test_walk_matches_brute_force_layers_and_profiles():
             anchor = anchor or (n if n >= b - a.ell and not pending else 0)
             if anchor and n == anchor + 2:
                 break
-        _, min_summands, gaps = cached_brute_profile(elements)
+        first, min_summands, gaps = cached_brute_profile(elements)
         reflected = tuple(sorted(b - x for x in elements))
-        assert tuple(summands) == min_summands, a
+        assert firsts == list(zip(first, min_summands)), a  # the walk's record
         assert anchor == max(b - a.ell, *min_summands), a
         _, _, profile = analysis.threshold_and_report()
         assert profile == exceptional_profile(a), a
@@ -225,13 +225,14 @@ def normalized_sets(draw, b_max=200):
 def test_narrow_mask_count_equals_the_full_diff(a):
     # the walk counts each layer on narrow masks; D(N) minus NA counts it in full
     analysis = _analyze(a)
-    summands = [0] * (a.b - 1)
-    for n, sumset, pending in _walk(a.elements, analysis.first_mask, summands):
+    firsts = [(0, 0)] * (a.b - 1)
+    for n, sumset, pending in _walk(a.elements, analysis.first_mask, firsts):
         full_count = (analysis.description(n) & ~sumset).bit_count()
         assert analysis._missing(n, sumset) == full_count, (a, n)
         if n >= a.b - a.ell and not pending:
             break
-    assert tuple(summands) == exceptional_profile(a).min_summands, a
+    first, min_summands, _ = cached_brute_profile(a.elements)
+    assert firsts == list(zip(first, min_summands)), a  # the walk's record
 
 
 def test_witnesses_are_valid():
