@@ -34,9 +34,15 @@ partial sum at once.  The first members are found as one mask F with one
 producer, ``_first_members``, and one reader, the walk of the layers NA,
 ``_walk``: it meets each member in the layer that first reaches it, which
 gives the profile both its first_reachable and its min_summands.  The
-verifier's per-set analysis and the placement check go over that walk as
-well; ``n_fold_sumset`` and ``represent`` build their layers with
-``_iter_nfold``.
+verifier's per-set analysis goes over that walk as well; ``n_fold_sumset``
+and ``represent`` build their layers with ``_iter_nfold``.
+
+The excess staircase, ``_staircase``, answers the same questions from
+b-bit rows instead of layers: row q of level E holds the classes a whose
+member qb + a is a sum of at most q + E + 1 non-zero elements.  Its final
+level gives each class's first member, the level a class enters that row
+gives the member's minimal summand count, and one bit answers whether
+qb + a lies in NA.  The placement check reads it.
 """
 
 from __future__ import annotations
@@ -157,6 +163,12 @@ def normalize(raw: Iterable[int]) -> Normalization:
     that every sumset question about the input reduces to one about B via
     N(g*B + tau) = g*NB + N*tau.
     """
+    raw = list(raw)
+    try:
+        for x in raw:
+            index(x)
+    except TypeError:
+        raise InvalidSetError(f"elements must be integers, got {raw}") from None
     values = sorted(set(raw))
     if len(values) < 2:
         raise DegenerateSetError(f"need at least two distinct values, got {values}")
@@ -303,8 +315,8 @@ def _walk(
 ) -> Iterator[tuple[int, int, int]]:
     """(N, NA, pending) for N = 1, 2, ..., each layer built once, in one frame.
 
-    ``elements`` are those of a normalized set A and ``first_mask`` its F,
-    or the part of F a reader asks about; the walk is F's one reader.
+    ``elements`` are those of a normalized set A and ``first_mask`` its F;
+    the walk is F's one reader.
     Since 0 is in A, NA contains (N-1)A, so each layer is the one before,
     or-ed with its shifts by the non-zero elements.  Every layer clears the
     first members it reaches from F, and ``pending`` is what is left; with
@@ -328,6 +340,63 @@ def _walk(
         if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
             raise RuntimeError("minimal summand counts did not stabilize")
         yield n_summands, sumset, pending
+
+
+def _staircase(elements: tuple[int, ...]) -> list[list[int]]:
+    """The excess staircase of a normalized set A: levels E = 0, 1, ... of rows.
+
+    Let s(n) be the least number of non-zero elements of A summing to n;
+    the excess of n = qb + a is e_A(n) = s(n) - q - 1, and n is in NA
+    exactly when s(n) <= N.  Row R_E[q] is the b-bit mask of the classes
+    a with e_A(qb + a) <= E; bit 0, the multiples of b, is in every row,
+    which starts the recursion at R_{-1}[q] = {0}.  Dropping one summand
+    from a minimal sum makes R_E[q] the or, over the interior elements c,
+    of R_{E-1}[q], (R_{E-1}[q] << c) cut to b bits, R_E[q-1] and
+    R_E[q-1] >> (b - c): the money-changing shortest path on residues
+    (Nijenhuis 1979; Boecker and Liptak 2007), indexed by excess.  Both
+    shifts by c are one window of the word R_{E-1}[q] << b | R_E[q-1],
+    shifted right by b - c.
+
+    Rows grow with q and levels with E.  A level is stored up to its last
+    new row, which repeats from there on: once a row repeats past the
+    last row of the level before, all later rows do, and a full row stays
+    full.  The next level differs from this one only if some row is not
+    closed under adding an interior element inside the row, so the levels
+    stop at the first level whose rows all are closed: the final one.  A
+    row q or a level E past the end reads the last.
+    """
+    b = elements[-1]
+    full = (1 << b) - 1
+    interior = elements[1:-1]
+    offsets = [b - c for c in interior]
+    levels: list[list[int]] = []
+    previous = [1]  # R_{-1}
+    while True:
+        level, below, q, last = [], 0, 0, len(previous) - 1
+        while True:
+            above = previous[q if q < last else last]
+            window = above << b | below
+            row = above | below
+            for offset in offsets:
+                row |= window >> offset
+            row &= full
+            if row == below and q >= last:
+                break
+            level.append(row)
+            if row == full:
+                break
+            below = row
+            q += 1
+        levels.append(level)
+        for row in level:
+            grown = row
+            for c in interior:
+                grown |= row << c
+            if grown & full != row:
+                break
+        else:
+            return levels
+        previous = level
 
 
 @dataclass(frozen=True)

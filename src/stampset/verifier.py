@@ -17,9 +17,9 @@ the description; the question is for which N the two agree.
 
 Every entry point but ``placement_check`` reads one per-set analysis:
 A's first-member mask F, and the gap masks of A and of b-A.
-``placement_check`` keeps only the one bit of F in the class it tests and
-runs its own walk from it.  The mask of E(b-A) is bit-reversed once, so
-one shift places each gap g at bN - g.
+``placement_check`` builds neither F nor a layer: it reads the one class
+it tests off A's excess staircase, ``core._staircase``.  The mask of
+E(b-A) is bit-reversed once, so one shift places each gap g at bN - g.
 The one walk over the layers NA, ``core._walk``, does the rest, and is
 F's only reader: each reader goes over it and folds what it needs.  A
 layer clears the first members of A it reaches (the threshold and report
@@ -55,6 +55,7 @@ from .core import (
     _require_residue,
     _require_summands,
     _reverse_bits,
+    _staircase,
     _walk,
     reflect,
 )
@@ -318,13 +319,16 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     |kB| comes from the raw growth kernel ``modular._growth_layers`` on A's
     residue mask, run to saturation, so the growth-law assertion covers
     every layer of every call; a normalized A already contains 0 and
-    generates Z/bZ.  The class's first member m is the one bit of F among
-    the bits a + jb, kept with one AND.  The walk from it over A's layers,
-    ``core._walk``, is what reads it, and answers both questions about
-    class a: the first layer that reaches m gives the minimal summand
-    count, and with it the hypothesis, and layer N holds the target or
-    not.  The walk stops once both are known, or once the hypothesis
-    fails.
+    generates Z/bZ.  Class a is read off A's excess staircase,
+    ``core._staircase``, whose row R_E[q] holds the classes with
+    e_A(qb + a) = s(qb + a) - q - 1 <= E.  The first row q0 of the final
+    level that holds a gives the first member q0*b + a, and the least
+    level E0 whose row q0 holds a gives its minimal summand count
+    q0 + 1 + E0, and with it the hypothesis.  The target (q0 + k - 1)b + a
+    lies in NA exactly when its excess is at most N - (q0 + k - 1) - 1:
+    one bit, and false when that bound is negative.  It never is: class a
+    lies in (k + b - |kB|)B, since each step grows kB until it saturates,
+    so q0 <= k + b - |kB| - 1 <= N - k.
     """
     _require_normalized(a_set)
     if k < 1:
@@ -332,27 +336,30 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     elements = a_set.elements
     b = elements[-1]
     _require_residue(residue, b)
-    first_mask, _ = _first_members(elements)
-    rows = first_mask.bit_length() // b + 1  # F lies below rows * b
-    class_bits = ((1 << rows * b) - 1) // ((1 << b) - 1)  # bits jb for j < rows
-    first = first_mask & class_bits << residue  # the one bit of F in class a
-    target = first.bit_length() - 1 + (k - 1) * b
+    levels, bit = _staircase(elements), 1 << residue
+    for first_row, row in enumerate(levels[-1]):  # the final level's last row holds every class
+        if row & bit:
+            break
+    for first_excess, level in enumerate(levels):
+        if _row(level, first_row) & bit:
+            break
     residue_bits = 0
     for x in elements[:-1]:  # b is the residue 0, already there as the element 0
         residue_bits |= 1 << x
     layers = _growth_layers(residue_bits, b)
     kb_size = layers[k - 1].bit_count() if k <= len(layers) else b
     n_summands = max(1, 2 * k + b - kb_size - 1)
-    hypothesis_met = holds = None
-    for n, sumset, pending in _walk(elements, first):
-        if n == n_summands:
-            holds = (sumset >> target) & 1 == 1
-        if hypothesis_met is None and not pending:  # n is the minimal summand count
-            hypothesis_met = kb_size >= b - n
-        if hypothesis_met is False or (hypothesis_met and holds is not None):
-            break
+    hypothesis_met = kb_size >= b - (first_row + 1 + first_excess)
+    target_row = first_row + k - 1
+    excess = n_summands - target_row - 1  # the most the target's excess may be
+    holds = excess >= 0 and _row(levels[min(excess, len(levels) - 1)], target_row) & bit != 0
     return PlacementCheck(
         holds=holds or not hypothesis_met,  # vacuously true without the hypothesis
-        hypothesis_met=hypothesis_met, target=target,
+        hypothesis_met=hypothesis_met, target=target_row * b + residue,
         n_summands=n_summands, kb_size=kb_size,
     )
+
+
+def _row(level: list[int], q: int) -> int:
+    """Row q of a staircase level; rows past its end repeat its last."""
+    return level[min(q, len(level) - 1)]

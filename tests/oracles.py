@@ -49,6 +49,22 @@ def brute_profile(elements):
     return tuple(first), tuple(summands), tuple(gaps)
 
 
+def brute_min_summands(elements, bound):
+    """For n = 0 .. bound, the least number of non-zero elements summing
+    to n, or None where no sum of them is n: breadth first over the sums,
+    each met in the first round that reaches it."""
+    least = {0: 0}
+    frontier = {0}
+    summands = 0
+    while frontier:
+        summands += 1
+        frontier = {
+            r + a for r in frontier for a in elements if a and r + a <= bound
+        } - least.keys()
+        least.update(dict.fromkeys(frontier, summands))
+    return [least.get(n) for n in range(bound + 1)]
+
+
 def brute_mod_sumset(u_residues, v_residues, modulus):
     return {(u + v) % modulus for u in u_residues for v in v_residues}
 

@@ -20,7 +20,7 @@ from stampset import (
     represent,
 )
 
-from oracles import brute_nfold, brute_profile
+from oracles import brute_min_summands, brute_nfold, brute_profile
 
 
 def fis(*values: int) -> FiniteIntegerSet:
@@ -74,6 +74,12 @@ def test_normalize_degenerate():
         normalize([7])
     with pytest.raises(DegenerateSetError):
         normalize([7, 7])
+
+
+def test_normalize_rejects_non_integers():
+    for values in [(0, 1.5, 3), ("a", "b"), [2, 2.0]]:  # operator.index refuses these
+        with pytest.raises(InvalidSetError, match="elements must be integers"):
+            normalize(values)
 
 
 def test_reflect_examples_and_involution():
@@ -210,9 +216,71 @@ def test_first_members_step_matches_the_full_profile():
         first_mask, gap_mask = _first_members(a.elements)
         assert gap_mask == prof.gap_mask, a
         assert first_mask == sum(1 << n for n in prof.first_reachable), a
-        for residue in range(1, a.b):  # the one-class AND of placement_check
+        for residue in range(1, a.b):  # the first member placement_check reads off the staircase
             target = placement_check(a, residue, 1).target
             assert target == prof.first_reachable_in(residue), (a, residue)
+
+
+def every_normalized_set(b_min, b_max):
+    from itertools import combinations
+
+    for b in range(b_min, b_max + 1):
+        for r in range(b):
+            for interior in combinations(range(1, b), r):
+                if (a := fis(0, *interior, b)).is_normalized:
+                    yield a
+
+
+def staircase_row(levels, excess, q):
+    """R_E[q]: a level or a row past the end of the staircase repeats its last."""
+    level = levels[min(excess, len(levels) - 1)]
+    return level[min(q, len(level) - 1)]
+
+
+def test_staircase_rows_match_brute_force_summand_counts():
+    """Bit a of R_E[q] is set exactly when qb + a is a sum of at most
+    q + E + 1 non-zero elements, for q and E up to b, past the stored rows
+    and levels; the final level's first row holding a class is its first
+    member's row."""
+    from random import Random
+
+    rng = Random(20261019)
+    random_sets = []
+    while len(random_sets) < 50:
+        b = rng.randint(11, 40)
+        a = FiniteIntegerSet.of((0, b, *rng.sample(range(1, b), rng.randint(1, 4))))
+        if a.is_normalized:
+            random_sets.append(a)
+    for a in [*every_normalized_set(2, 10), *random_sets]:
+        b = a.b
+        levels = core._staircase(a.elements)
+        least = brute_min_summands(a.elements, (b + 1) * b - 1)
+        for q in range(b + 1):
+            entered = [0] * (b + 1)  # the classes whose excess in row q is E, at index E
+            for c, s in enumerate(least[q * b:(q + 1) * b]):
+                if s is not None:
+                    entered[max(s - q - 1, 0)] |= 1 << c  # class 0 has excess -1
+            expected = 0
+            for excess in range(b + 1):
+                expected |= entered[excess]
+                assert staircase_row(levels, excess, q) == expected, (a, excess, q)
+        first_rows = exceptional_profile(a).first_reachable
+        for c in range(1, b):
+            q = next(q for q, row in enumerate(levels[-1]) if row >> c & 1)
+            assert q == first_rows[c - 1] // b, (a, c)
+
+
+def test_staircase_transposes_under_reflection():
+    # e_A(qb + a) <= E exactly when e_{b-A}(Eb + b - a) <= q
+    for a in every_normalized_set(3, 10):
+        b = a.b
+        levels, mirror = core._staircase(a.elements), core._staircase(reflect(a).elements)
+        for q in range(b + 1):
+            for excess in range(b + 1):
+                row = staircase_row(levels, excess, q)
+                transposed = staircase_row(mirror, q, excess)
+                for c in range(1, b):
+                    assert row >> c & 1 == transposed >> (b - c) & 1, (a, q, excess, c)
 
 
 def test_represent_frozen_examples():

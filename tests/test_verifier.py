@@ -15,7 +15,7 @@ from stampset import (
     reflect,
 )
 from stampset import verifier
-from stampset.core import _walk
+from stampset.core import _staircase, _walk
 from stampset.errors import InvalidResidueError
 from stampset.verifier import (
     _analyze,
@@ -331,9 +331,14 @@ def test_placement_check_never_false_small():
 
 def test_placement_check_matches_oracles_on_every_field():
     """Every field of every check with b <= 8, every residue and k <= b,
-    rebuilt from the brute-force oracles."""
+    rebuilt from the brute-force oracles.  The sweep reaches the hypothesis
+    met and unmet, and a target read from a row past its level's last
+    stored row.  It never reaches a negative excess bound: class a lies in
+    (k + b - |kB|)B, so the target's row is at most N - 1."""
+    reached = set()
     for a in every_normalized(8):
         b = a.b
+        levels = _staircase(a.elements)
         first, summands, _ = brute_profile(a.elements)
         residues = {x % b for x in a.elements}
         kb_sizes, kb = [], residues
@@ -348,6 +353,11 @@ def test_placement_check_matches_oracles_on_every_field():
                 n_summands = max(1, 2 * k + b - kb_size - 1)
                 hypothesis_met = kb_size >= b - summands[residue - 1]
                 holds = not hypothesis_met or target in sums(n_summands)
+                row, excess = target // b, n_summands - target // b - 1
+                assert excess >= 0, (a, residue, k)
+                if hypothesis_met and row >= len(levels[min(excess, len(levels) - 1)]):
+                    reached.add("row past the level's last")
+                reached.add(("hypothesis met", hypothesis_met))
                 expected = (holds, hypothesis_met, target, n_summands, kb_size)
                 assert astuple(placement_check(a, residue, k)) == expected, (a, residue, k)
         for residue in (0, b):
@@ -356,6 +366,9 @@ def test_placement_check_matches_oracles_on_every_field():
             with pytest.raises(InvalidResidueError) as error:
                 placement_check(a, residue, 1)
             assert str(error.value) == str(expected_error.value)
+    assert reached == {
+        "row past the level's last", ("hypothesis met", True), ("hypothesis met", False)
+    }
 
 
 def test_placement_check_rejects_bad_residue():
