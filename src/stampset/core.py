@@ -40,9 +40,9 @@ and ``represent`` build their layers with ``_iter_nfold``.
 The excess staircase, ``_staircase``, answers the same questions from
 b-bit rows instead of layers: row q of level E holds the classes a whose
 member qb + a is a sum of at most q + E + 1 non-zero elements.  Its final
-level gives each class's first member, the level a class enters that row
-gives the member's minimal summand count, and one bit answers whether
-qb + a lies in NA.  The placement check reads it.
+level gives each class's first member, the level at which the class
+enters that row gives the member's minimal summand count, and one bit
+answers whether qb + a lies in NA.  The placement check reads it.
 """
 
 from __future__ import annotations
