@@ -33,9 +33,11 @@ Sets of reachable sums are held as Python integers used as bitmasks
 partial sum at once.  The first members are found as one mask F with one
 producer, ``_first_members``, and one reader, the walk of the layers NA,
 ``_walk``: it meets each member in the layer that first reaches it, which
-gives the profile both its first_reachable and its min_summands.  The
-verifier's per-set analysis goes over that walk as well; ``n_fold_sumset``
-and ``represent`` build their layers with ``_iter_nfold``.
+gives the profile both its first_reachable and its min_summands.  Every
+first member is a sum of at most b - ell non-zero elements, so a member
+still pending at N = b - ell makes the walk raise.  The walk is the one
+generator of layers: the verifier's per-set analysis, ``n_fold_sumset``
+and ``represent`` go over it as well.
 
 The excess staircase, ``_staircase``, answers the same questions from
 b-bit rows instead of layers: row q of level E holds the classes a whose
@@ -90,13 +92,7 @@ class FiniteIntegerSet:
             raise DegenerateSetError(
                 f"need at least two elements, got {list(self.elements)}"
             )
-        try:
-            for x in self.elements:
-                index(x)
-        except TypeError:
-            raise InvalidSetError(
-                f"elements must be integers, got {list(self.elements)}"
-            ) from None
+        _require_integers(self.elements)
         if self.elements[0] < 0:
             raise InvalidSetError("elements must be non-negative")
         if any(x >= y for x, y in zip(self.elements, self.elements[1:])):
@@ -164,11 +160,7 @@ def normalize(raw: Iterable[int]) -> Normalization:
     N(g*B + tau) = g*NB + N*tau.
     """
     raw = list(raw)
-    try:
-        for x in raw:
-            index(x)
-    except TypeError:
-        raise InvalidSetError(f"elements must be integers, got {raw}") from None
+    _require_integers(raw)
     values = sorted(set(raw))
     if len(values) < 2:
         raise DegenerateSetError(f"need at least two distinct values, got {values}")
@@ -195,6 +187,14 @@ def _known_set(elements: tuple[int, ...]) -> FiniteIntegerSet:
     a_set = object.__new__(FiniteIntegerSet)
     object.__setattr__(a_set, "elements", elements)
     return a_set
+
+
+def _require_integers(values: list[int] | tuple[int, ...]) -> None:
+    try:
+        for x in values:
+            index(x)
+    except TypeError:
+        raise InvalidSetError(f"elements must be integers, got {list(values)}") from None
 
 
 def _require_normalized(a_set: FiniteIntegerSet) -> None:
@@ -233,28 +233,10 @@ class ReachabilityMask:
         return tuple(self)
 
 
-def _iter_nfold(elements: tuple[int, ...], bit_limit: int | None = None) -> Iterator[int]:
-    """Yield the bitmask of NA for N = 1, 2, 3, ... in order.
-
-    With bit_limit set, masks are truncated to [0, bit_limit]; membership
-    below the limit stays exact because summands only move bits upward.
-    """
-    cap = None if bit_limit is None else (1 << (bit_limit + 1)) - 1
-    mask = 1
-    while True:
-        acc = 0
-        for a in elements:
-            acc |= mask << a
-        if cap is not None:
-            acc &= cap
-        mask = acc
-        yield mask
-
-
 def n_fold_sumset(a_set: FiniteIntegerSet, n_summands: int) -> ReachabilityMask:
-    """The exact N-fold sumset NA as a mask over [0, b*N]."""
+    """The exact N-fold sumset NA as a mask over [0, b*N], layer N of the walk."""
     _require_summands(n_summands)
-    mask = next(islice(_iter_nfold(a_set.elements), n_summands - 1, None))
+    _, mask, _ = next(islice(_walk(a_set.elements), n_summands - 1, None))
     return ReachabilityMask(a_set.b * n_summands, mask)
 
 
@@ -311,25 +293,39 @@ def _first_members(elements: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _walk(
-    elements: tuple[int, ...], first_mask: int, firsts: list[tuple[int, int]] | None = None
+    elements: tuple[int, ...],
+    first_mask: int = 0,
+    firsts: list[tuple[int, int]] | None = None,
+    bit_limit: int | None = None,
 ) -> Iterator[tuple[int, int, int]]:
     """(N, NA, pending) for N = 1, 2, ..., each layer built once, in one frame.
 
-    ``elements`` are those of a normalized set A and ``first_mask`` its F;
-    the walk is F's one reader.
-    Since 0 is in A, NA contains (N-1)A, so each layer is the one before,
-    or-ed with its shifts by the non-zero elements.  Every layer clears the
-    first members it reaches from F, and ``pending`` is what is left; with
-    ``firsts`` given (b - 1 slots) it also records each of them with N,
-    its minimal summand count, as (member, N) at index a-1 for class a.
+    This is the one generator of the layers NA, for any finite set A: each
+    layer is the or of the one before shifted by every element of A, the
+    lowest included.  With ``bit_limit`` set, layers are truncated to
+    [0, bit_limit]; membership below the limit stays exact because
+    summands only move bits upward.
+
+    ``first_mask`` is F, the first members of a normalized A, and the walk
+    is its one reader.  Every layer clears the first members it reaches
+    from F, and ``pending`` is what is left; with ``firsts`` given (b - 1
+    slots) it also records each of them with N, its minimal summand
+    count, as (member, N) at index a-1 for class a.  Every first member is
+    a sum of at most b - ell non-zero elements, so one still pending at
+    N = b - ell raises.
     """
-    b, shifts = elements[-1], elements[1:]
+    low, shifts, b = elements[0], elements[1:], elements[-1]
+    floor = b - len(elements) + 2  # b - ell
+    cap = None if bit_limit is None else (1 << (bit_limit + 1)) - 1
     pending = first_mask
     sumset = 1
     for n_summands in count(1):
-        layer = sumset
+        # x << 0 copies the whole int, so a lowest element 0 adds no shift
+        layer = sumset << low if low else sumset
         for a in shifts:
             layer |= sumset << a
+        if cap is not None:
+            layer &= cap
         sumset = layer
         reached = sumset & pending
         if reached:
@@ -337,7 +333,7 @@ def _walk(
             if firsts is not None:
                 for n in _iter_bits(reached):
                     firsts[n % b - 1] = (n, n_summands)
-        if pending and n_summands >= b - 1:  # a first member needs at most b-1 summands
+        if pending and n_summands >= floor:
             raise RuntimeError("minimal summand counts did not stabilize")
         yield n_summands, sumset, pending
 
@@ -484,7 +480,7 @@ def represent(n: int, a_set: FiniteIntegerSet, n_summands: int) -> Representatio
     Raises NotRepresentableError when n is not in the N-fold sumset.  The
     decomposition is deterministic: walking from N summands down to none,
     each step takes the smallest element that still leaves a representable
-    remainder.
+    remainder, read off the walk's layers kA for k < N.
     """
     _require_summands(n_summands)
     if n < 0 or n > a_set.b * n_summands:
@@ -493,7 +489,8 @@ def represent(n: int, a_set: FiniteIntegerSet, n_summands: int) -> Representatio
         )
     # reach[k] = bitmask of kA, truncated to [0, n] (enough to answer
     # membership of remainders, which never exceed n).
-    reach = [1, *islice(_iter_nfold(a_set.elements, n), n_summands)]
+    layers = islice(_walk(a_set.elements, bit_limit=n), n_summands)
+    reach = [1, *(sumset for _, sumset, _ in layers)]
     if not (reach[n_summands] >> n) & 1:
         raise NotRepresentableError(
             f"{n} is not a sum of {n_summands} elements of {a_set}"

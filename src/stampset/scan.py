@@ -30,8 +30,7 @@ classification of the pair labels both sets.  So only the canonical
 member of a pair, the one whose mask is not above its mirror's, is
 analyzed; it emits the records of both, and a set that is its own
 mirror is emitted once.  Both members get the window
-[max(1, b - ell - delta), anchor(A)], since the anchor is b - ell for
-both (a test pins this for every set with b <= 16).
+[max(1, b - ell - delta), b - ell], since b-A has the b and ell of A.
 
 Work is partitioned into contiguous bitmask ranges, each a few
 milliseconds of work, the same at every worker count: they run in turn
@@ -78,7 +77,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Parameters of one exhaustive scan."""
+    """Parameters of one exhaustive scan.
+
+    At delta 2 the scan raises the bounds to b >= 9 and ell >= 5, the
+    regime of the deeper catalog, so a window outside them scans nothing.
+    """
 
     b_min: int
     b_max: int
@@ -223,15 +226,14 @@ def _scan_unit(
             continue  # emitted by the shard holding its mirror
         a_set = _known_set(elements)
         analysis = _analyze(a_set)
-        window_lo = max(1, b - a_set.ell - delta)
-        # the window ends at the anchor of A, which is the anchor of b-A too
-        window_hi, fails = analysis.failures(window_lo, witness_cap)
+        guaranteed = b - a_set.ell  # the same for b-A
+        window_lo = max(1, guaranteed - delta)
+        fails = analysis.failures(window_lo, witness_cap)
         labels, mirror_labels = _classify(a_set, analysis.mirror, delta) if delta else ((), ())
         sides = [(elements, labels)]
         if mirror_mask != mask:
             sides.append((analysis.mirror.elements, mirror_labels))
         failing = [n for n, *_ in fails]
-        guaranteed = b - a_set.ell
         hard = [n for n in failing if n >= guaranteed]
         for side, (side_elements, side_labels) in enumerate(sides):
             analyzed += 1
@@ -260,7 +262,7 @@ def _scan_unit(
                     kind = "family_without_failure"
                     detail = (
                         f"matches {'+'.join(label_strs)} but holds at every "
-                        f"N in [{window_lo}, {window_hi}]"
+                        f"N in [{window_lo}, {guaranteed}]"
                     )
                 mismatches.append(MismatchRecord(b, side_elements, kind, detail))
     return analyzed, tally.skipped_gcd, tally.mask_sum, failures, mismatches
@@ -306,8 +308,10 @@ def _units_for(b: int) -> list[tuple[int, int]]:
 def scan_theorems(config: ScanConfig) -> ScanResult:
     """Run the configured scan and cross-check failures against the catalog.
 
-    Returns the collected :class:`ScanResult` when observation and catalog
-    agree everywhere.  Raises :class:`CatalogMismatchError` (with the
+    At delta 2 only sets with b >= 9 and ell >= 5 are scanned; a window
+    outside those bounds scans no set and returns a clean result.  Returns
+    the collected :class:`ScanResult` when observation and catalog agree
+    everywhere.  Raises :class:`CatalogMismatchError` (with the
     result attached as ``.result``) when any set disagrees, since that
     either contradicts a proved statement or exposes a catalog gap.
     """

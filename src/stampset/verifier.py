@@ -23,20 +23,21 @@ E(b-A) is bit-reversed once, so one shift places each gap g at bN - g.
 The one walk over the layers NA, ``core._walk``, does the rest, and is
 F's only reader: each reader goes over it and folds what it needs.  A
 layer clears the first members of A it reaches (the threshold and report
-record each with its layer, which is A's profile; the scan's failures
-need only know when none is pending), and is checked against D(N)
-without building it: the gaps of A against the bottom of the layer, the
-mirrored gaps of b-A against its top, and one count of NA against
-|D(N)| = bN + 1 - |gaps inside [0, bN]|, counted on the narrow gap
-masks.  D(N) itself, and D(N) minus NA, are built only at failing layers
-whose witnesses are wanted.  A reader stops at the anchor, the first
-N >= b - ell at which no first member is pending, or at a requested N
-beyond it.  Facts this module relies on:
+record each with its layer, which is A's profile), and is checked
+against D(N) without building it: the gaps of A against the bottom of
+the layer, the mirrored gaps of b-A against its top, and one count of NA
+against |D(N)| = bN + 1 - |gaps inside [0, bN]|, counted on the narrow
+gap masks.  D(N) itself, and D(N) minus NA, are built only at failing
+layers whose witnesses are wanted.  Every reader stops at N = b - ell,
+or at a requested N beyond it.  Facts this module relies on:
 
   * the description holds for every N >= b - ell (ell = interior count);
-  * if it holds at an anchor N0 at least as large as every per-class
-    minimal summand count, it holds for all N >= N0 -- so scanning
-    N = 1 .. max(b - ell, max_summands) determines the exact threshold.
+  * every first member is a sum of at most b - ell non-zero elements, so
+    none is pending at N = b - ell (the walk raises if one is);
+  * if the description holds at an N0 at least as large as every
+    per-class minimal summand count, it holds for all N >= N0 -- so
+    scanning N = 1 .. b - ell determines the exact threshold, and the
+    check at N = b - ell tests the first fact where it starts.
 """
 
 from __future__ import annotations
@@ -183,11 +184,11 @@ class _Analysis:
 
     def failures(
         self, n_lo: int, witness_cap: int
-    ) -> tuple[int, list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]:
-        """The anchor, and every N from n_lo to the anchor where the description is strict.
+    ) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+        """Every N from n_lo to b - ell where the description is strict.
 
-        The layers from n_lo to the anchor are checked; the walk clears F as
-        a mask and records no first members.  Each failure is
+        The walk goes to b - ell, checks the layers from n_lo on, and clears
+        F as a mask but records no first members.  Each failure is
         (N, missing count, witnesses of A, witnesses of b-A).  Since n lies
         in NA exactly when bN - n lies in N(b-A), b-A fails at the same N
         with the same count, and its witnesses are bN - w for the largest
@@ -195,7 +196,7 @@ class _Analysis:
         """
         b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
         found = []
-        for n, sumset, pending in _walk(self.a_set.elements, self.first_mask):
+        for n, sumset, _ in islice(_walk(self.a_set.elements, self.first_mask), floor):
             missing = self._missing(n, sumset) if n >= n_lo else 0
             if missing:
                 diff = self.description(n) & ~sumset
@@ -203,9 +204,7 @@ class _Analysis:
                 found.append(
                     (n, missing, _witnesses(diff, witness_cap), _witnesses(mirror, witness_cap))
                 )
-            if n >= floor and not pending:
-                break
-        return n, found
+        return found
 
     def threshold_and_report(
         self, n_summands: int | None = None, witness_cap: int = DEFAULT_WITNESS_CAP
@@ -213,7 +212,7 @@ class _Analysis:
         """The least N0 >= 1 from which the description holds, the report at N,
         and the full profile of A.
 
-        One walk checks every layer up to the anchor, recording each first
+        One walk checks every layer up to b - ell, recording each first
         member with its minimal summand count on the way, and goes on to N
         if N lies beyond it, checking only N there.  Without N the report is
         None.  The profile is built from the walk's record.
@@ -222,20 +221,18 @@ class _Analysis:
             _check_request(n_summands, witness_cap)
         b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
         firsts = [(0, 0)] * (b - 1)
-        anchor = last_bad = 0
+        layers = _walk(self.a_set.elements, self.first_mask, firsts)
+        last_bad = 0
         report = None
-        for n, sumset, pending in _walk(self.a_set.elements, self.first_mask, firsts):
-            missing = self._missing(n, sumset) if not anchor or n == n_summands else 0
+        for n, sumset, _ in islice(layers, max(floor, n_summands or 0)):
+            missing = self._missing(n, sumset) if n <= floor or n == n_summands else 0
             if n == n_summands:
                 report = self._report(n, sumset, missing, witness_cap)
-            if not anchor:
-                last_bad = n if missing else last_bad
-                anchor = n if n >= floor and not pending else 0
-            if anchor and n >= (n_summands or 0):
-                break
-        if last_bad >= anchor:
+            if missing and n <= floor:
+                last_bad = n
+        if last_bad >= floor:
             raise RuntimeError(
-                f"description fails at the anchor N={anchor} for {self.a_set}; "
+                f"description fails at the anchor N={floor} for {self.a_set}; "
                 "this contradicts the threshold theorem and indicates a bug"
             )
         return last_bad + 1, report, _profile(b, firsts, self.gap_mask)
@@ -273,10 +270,9 @@ def check_structure(
 def min_threshold(a_set: FiniteIntegerSet) -> int:
     """The least N0 >= 1 such that the description is exact for all N >= N0.
 
-    Scans N = 1 .. max(b - ell, max_summands): beyond b - ell the
-    description always holds, and holding at the top of the scanned range
-    (which dominates every per-class minimal summand count) propagates to
-    all larger N, so the scan range is sufficient.
+    Scans N = 1 .. b - ell: beyond b - ell the description always holds,
+    and holding at b - ell (which dominates every per-class minimal summand
+    count) propagates to all larger N, so the scan range is sufficient.
     """
     return _analyze(a_set).threshold_and_report()[0]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from stampset import (
     residues_mod_b,
     stabilizer,
 )
+from stampset.core import _walk
 from stampset.modular import ResidueSet
 
 from oracles import brute_nfold
@@ -130,6 +132,16 @@ def test_sumsets_and_certificates_of_unnormalized_sets(raw, n):
     if missing is not None:
         with pytest.raises(NotRepresentableError):
             represent(missing, a_set, n)
+
+
+@given(raw=raw_sets(max_value=40), limit=st.integers(min_value=0, max_value=250))
+def test_truncated_layers_are_the_full_layers_cut_at_the_limit(raw, limit):
+    # represent reads remainders up to n off layers truncated to [0, n]
+    elements = tuple(raw)
+    full = islice(_walk(elements), 6)
+    truncated = islice(_walk(elements, bit_limit=limit), 6)
+    for (n, layer, _), (m, cut, _) in zip(full, truncated, strict=True):
+        assert (m, cut) == (n, layer & ((1 << (limit + 1)) - 1)), (raw, limit, n)
 
 
 @given(a_set=normalized_sets(max_value=18, max_size=8))

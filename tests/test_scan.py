@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from stampset import FiniteIntegerSet
+from stampset import FiniteIntegerSet, exceptional_profile
 from stampset import scan
 from stampset.errors import CatalogMismatchError
 from stampset.families import classify_exceptional_family
@@ -171,10 +171,11 @@ def test_delta_two_scan_raises_on_the_known_catalog_gap():
 
 
 def test_delta_two_restricts_range():
-    # below b = 9 there is nothing to scan at delta 2
-    result = scan_theorems(ScanConfig(2, 8, delta=2))
-    assert result.sets_scanned == 0
-    assert result.failures == ()
+    # below b = 9 or ell = 5 there is nothing to scan at delta 2
+    for config in (ScanConfig(2, 8, delta=2), ScanConfig(9, 10, ell_max=3, delta=2)):
+        result = scan_theorems(config)
+        assert result.sets_scanned == 0, config
+        assert result.failures == (), config
 
 
 def test_failure_inside_the_guaranteed_range_is_an_identity_violation(monkeypatch):
@@ -182,10 +183,10 @@ def test_failure_inside_the_guaranteed_range_is_an_identity_violation(monkeypatc
     failures = _Analysis.failures
 
     def planted(self, n_lo, witness_cap):
-        anchor, found = failures(self, n_lo, witness_cap)
+        found = failures(self, n_lo, witness_cap)
         if self.a_set.elements == (0, 1, 5):
             found = [*found, (4, 1, (7,), (13,))]  # 13 = bN - 7 for b - A
-        return anchor, found
+        return found
 
     monkeypatch.setattr(_Analysis, "failures", planted)
     with pytest.raises(CatalogMismatchError, match="identity_violation") as excinfo:
@@ -282,7 +283,7 @@ def test_paired_scan_matches_an_unpaired_reference(delta, witness_cap):
     for b in range(b_min, 13):
         for a_set in enumerate_sets(b, ell_min):
             window_lo = max(1, b - a_set.ell - delta)
-            _, fails = _analyze(a_set).failures(window_lo, witness_cap)
+            fails = _analyze(a_set).failures(window_lo, witness_cap)
             labels = classify_exceptional_family(a_set, delta) if delta else ()
             labels = tuple(str(label) for label in labels)
             failures.extend(
@@ -301,11 +302,11 @@ def test_paired_scan_matches_an_unpaired_reference(delta, witness_cap):
 
 
 def test_anchor_of_a_set_and_its_mirror_is_b_minus_ell():
-    # the paired scan gives b-A the window of A; every mirror is enumerated too
+    # the paired scan gives b-A the window of A, which ends at b - ell; there
+    # every first member of A has been reached (every mirror is enumerated too)
     for b in range(2, 17):
         for a_set in enumerate_sets(b):
-            anchor, _ = _analyze(a_set).failures(1, 1)
-            assert anchor == b - a_set.ell, a_set
+            assert exceptional_profile(a_set).max_summands <= b - a_set.ell, a_set
 
 
 def test_json_report_shape():

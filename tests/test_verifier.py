@@ -136,7 +136,7 @@ def test_theorem_checks_raise_on_a_corrupted_profile():
         escaping.threshold_and_report(2, 1)
     with pytest.raises(RuntimeError, match="description fails at the anchor N=4"):
         gapless.threshold_and_report(9, 1)
-    # a first member no layer reaches (the gap 1) stops every walk at N = b - 1
+    # a first member no layer reaches (the gap 1) stops every walk at N = b - ell
     first_mask = analysis.first_mask | 1 << 1
     unreached = replace(analysis, first_mask=first_mask)
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
@@ -145,6 +145,13 @@ def test_theorem_checks_raise_on_a_corrupted_profile():
         unreached.threshold_and_report()
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
         list(_walk((0, 3, 5), first_mask))
+    # with ell = 2, b - ell = 5 comes before b - 1 = 6: with its gap 1 in F,
+    # the walk over {0,3,4,7} yields four layers and raises on the fifth
+    four = _analyze(fis(0, 3, 4, 7))
+    walk = _walk(four.a_set.elements, four.first_mask | 1 << 1)
+    assert [n for n, _, _ in islice(walk, 4)] == [1, 2, 3, 4]
+    with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
+        next(walk)
 
 
 def test_escape_check_covers_the_top_of_the_layer():
@@ -187,7 +194,7 @@ def test_walk_matches_brute_force_layers_and_profiles():
 
 
 def test_anchor_of_the_count_free_walk(monkeypatch):
-    # the layers the threshold walk yields, recorded by N
+    # the layers the readers' walks yield, recorded by N
     reached = []
 
     def recording_walk(*args):
@@ -196,16 +203,16 @@ def test_anchor_of_the_count_free_walk(monkeypatch):
             yield layer
 
     monkeypatch.setattr(verifier, "_walk", recording_walk)
-    # failures reads no summand counts, yet stops where the counts would
+    # every reader's last layer is b - ell, or N when N lies beyond it
     for a in every_normalized(12):
-        _, min_summands, _ = cached_brute_profile(a.elements)
-        analysis = _analyze(a)
-        anchor, _ = analysis.failures(1, 1)
-        assert anchor == max(a.b - a.ell, *min_summands), a
-        # the last layer the threshold walk yields is its anchor
+        analysis, floor = _analyze(a), a.b - a.ell
         reached.clear()
-        analysis.threshold_and_report()
-        assert reached[-1] == anchor, a
+        analysis.failures(1, 1)
+        assert reached == list(range(1, floor + 1)), a
+        for n in (None, 1, floor, floor + 2):
+            reached.clear()
+            analysis.threshold_and_report(n, 1)
+            assert reached == list(range(1, max(floor, n or 0) + 1)), (a, n)
 
 
 @st.composite
