@@ -78,7 +78,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteIntegerSet:
-    """A finite set of non-negative integers, stored strictly increasing.
+    """A finite set of non-negative integers, stored strictly increasing as plain ints.
 
     ``b`` is the largest element and ``ell`` the number of interior
     elements (everything except min and max).  Analysis operations
@@ -92,7 +92,7 @@ class FiniteIntegerSet:
             raise DegenerateSetError(
                 f"need at least two elements, got {list(self.elements)}"
             )
-        _require_integers(self.elements)
+        object.__setattr__(self, "elements", _require_integers(self.elements))
         if self.elements[0] < 0:
             raise InvalidSetError("elements must be non-negative")
         if any(x >= y for x, y in zip(self.elements, self.elements[1:])):
@@ -159,9 +159,7 @@ def normalize(raw: Iterable[int]) -> Normalization:
     that every sumset question about the input reduces to one about B via
     N(g*B + tau) = g*NB + N*tau.
     """
-    raw = list(raw)
-    _require_integers(raw)
-    values = sorted(set(raw))
+    values = sorted(set(_require_integers(list(raw))))
     if len(values) < 2:
         raise DegenerateSetError(f"need at least two distinct values, got {values}")
     tau = values[0]
@@ -189,10 +187,11 @@ def _known_set(elements: tuple[int, ...]) -> FiniteIntegerSet:
     return a_set
 
 
-def _require_integers(values: list[int] | tuple[int, ...]) -> None:
+def _require_integers(values: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """The values as plain ints, through ``operator.index``, so the bit
+    arithmetic never runs in a fixed-width or other foreign integer type."""
     try:
-        for x in values:
-            index(x)
+        return tuple(map(index, values))
     except TypeError:
         raise InvalidSetError(f"elements must be integers, got {list(values)}") from None
 

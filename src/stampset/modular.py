@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable, Iterator
 
 from .core import FiniteIntegerSet, _bit_list, _iter_bits, _require_normalized, _set_str
@@ -69,7 +70,7 @@ class ResidueSet:
         _require_modulus(modulus)  # before reducing by it
         bits = 0
         for v in values:
-            bits |= 1 << (v % modulus)
+            bits |= 1 << (index(v) % modulus)
         return cls(modulus, bits)
 
     @property

@@ -143,3 +143,40 @@ def brute_catalog(b, delta):
     for kind, parameters, shape in shapes:
         catalog.setdefault(frozenset(shape), []).append((kind, parameters))
     return catalog
+
+
+
+def brute_sparse_catalog(b):
+    """The sparse-shape catalog for top element b, read literally off the
+    six ``A``/``K`` rows of the ``families`` module docstring.
+
+    Maps each cataloged set (a frozenset) to its (sufficiency family,
+    doubling family, parameter name, parameter, threshold) entries, rows
+    in A1..A6 order and parameters ascending within a row, so the first
+    entry is the first printed match.  A row's elements must be distinct
+    and lie in {0, ..., b} with top b; its gcd clause is tested as printed.
+    Rows that name b/2 are skipped for odd b.
+    """
+    q = b // 2  # b/2, read only when b is even
+    rows = (  # family, doubling family, name, uses b/2, elements, gcd, threshold
+        ("A1", "K1", "a", False, lambda a: (0, a, 2 * a, b), lambda a: gcd(a, b), lambda a: 1),
+        ("A2", "K2", "a", False, lambda a: (0, 2 * a - b, a, b), lambda a: gcd(a, b), lambda a: 1),
+        ("A3", "K4", "h", True, lambda h: (0, h, q, b), lambda h: gcd(h, q), lambda h: 1),
+        ("A4", "K3", "h", False, lambda h: (0, h, b - h, b), lambda h: gcd(h, b),
+         lambda h: b - 1 - h),
+        ("A5", "K5", "a", True, lambda a: (0, a, a + q, b), lambda a: gcd(a, q), lambda a: q),
+        ("A6", "K6", "a", True, lambda a: (0, a, q, a + q, b), lambda a: gcd(a, q),
+         lambda a: q - 1),
+    )
+    catalog = {}
+    for kind, doubling, name, uses_half, shape, clause, threshold in rows:
+        if uses_half and b % 2:
+            continue
+        for h in range(1, b):
+            printed = shape(h)
+            elements = frozenset(printed)
+            if len(elements) < len(printed) or min(elements) < 0 or max(elements) != b:
+                continue
+            if clause(h) == 1:
+                catalog.setdefault(elements, []).append((kind, doubling, name, h, threshold(h)))
+    return catalog

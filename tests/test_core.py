@@ -82,6 +82,29 @@ def test_normalize_rejects_non_integers():
             normalize(values)
 
 
+class _IndexOnly:
+    """An integer-like value that offers nothing but ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_index_only_elements_are_stored_as_plain_ints():
+    plain = fis(0, 3, 70)
+    wrapped = FiniteIntegerSet(tuple(map(_IndexOnly, plain)))
+    assert wrapped == plain and str(wrapped) == "{0,3,70}"
+    assert all(type(x) is int for x in wrapped)
+    assert exceptional_profile(wrapped) == exceptional_profile(plain)
+    assert verifier.check_structure(wrapped, 5) == verifier.check_structure(plain, 5)
+    assert n_fold_sumset(wrapped, 3) == n_fold_sumset(plain, 3)
+    assert normalize(map(_IndexOnly, (6, 12, 21))) == normalize((6, 12, 21))
+    assert str(FiniteIntegerSet((0, True, 3))) == "{0,1,3}"
+    assert modular.ResidueSet.of(map(_IndexOnly, (0, 1, 70)), 100).size == 3
+
+
 def test_reflect_examples_and_involution():
     assert reflect(fis(0, 3, 5)).elements == (0, 2, 5)
     full = fis(*range(8))

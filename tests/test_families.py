@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from stampset import FiniteIntegerSet, InvalidSetError
+from stampset import FiniteIntegerSet, InvalidSetError, core
 from stampset.errors import CatalogMismatchError
 from stampset.families import (
     FamilyLabel,
@@ -13,10 +13,11 @@ from stampset.families import (
     classify_exceptional_family,
 )
 from stampset.core import reflect
+from stampset.modular import small_doubling_families
 from stampset.scan import ScanConfig, scan_theorems
 from stampset.verifier import all_n_criterion, check_structure, min_threshold
 
-from oracles import brute_catalog
+from oracles import brute_catalog, brute_sparse_catalog
 
 
 def fis(*values: int) -> FiniteIntegerSet:
@@ -215,6 +216,42 @@ def test_appendix_matches_frozen():
 
     label, threshold = appendix_family_threshold(fis(0, 3, 5, 8, 10))
     assert (label.kind, dict(label.parameters), threshold) == ("A6", {"a": 3}, 4)
+
+
+def test_sparse_matcher_is_the_printed_catalog():
+    # every normalized set with b <= 14 against the docstring's six rows,
+    # gcd clauses included: the first printed match, or none
+    matched = set()
+    for b in range(2, 15):
+        catalog = brute_sparse_catalog(b)
+        for a in every_normalized(range(b, b + 1)):
+            entries = catalog.get(frozenset(a.elements))
+            got = appendix_family_threshold(a)
+            if entries is None:
+                assert got is None, a
+                expected_doubling = ()
+            else:
+                kind, doubling, name, h, threshold = entries[0]
+                assert got == (FamilyLabel(kind, ((name, h),)), threshold), a
+                expected_doubling = ((doubling, h),) if b >= a.ell + 4 else ()
+                matched.add(kind)
+            if a.ell >= 2:
+                got_doubling = tuple((m.label, m.h) for m in small_doubling_families(a))
+                assert got_doubling == expected_doubling, a
+    assert matched == {"A1", "A2", "A3", "A4", "A5", "A6"}  # the sweep reached every row
+
+
+def test_classification_builds_no_sumset(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("classification walked the layers")
+
+    monkeypatch.setattr(core, "_walk", no_walk)
+    for a in every_normalized(range(2, 13)):
+        classify_exceptional_family(a, 1)
+        classify_exceptional_family(a, 2)
+        appendix_family_threshold(a)
+        if a.ell >= 2:
+            small_doubling_families(a)
 
 
 def test_appendix_rejects_other_shapes():
