@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from math import gcd
+from math import gcd, inf
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
@@ -201,14 +201,24 @@ def _require_normalized(a_set: FiniteIntegerSet) -> None:
         raise InvalidSetError(f"set {a_set} is not normalized (min 0, gcd 1)")
 
 
-def _require_summands(n_summands: int) -> None:
-    if n_summands < 1:
-        raise ValueError(f"number of summands must be >= 1, got {n_summands}")
+def _require_index(value: int, low: int, high: float, error: type, rule: str) -> int:
+    """``value`` as a plain int if ``operator.index`` takes it and it lies in
+    [low, high]; otherwise ``error``, naming the rule it breaks."""
+    try:
+        if low <= (plain := index(value)) <= high:
+            return plain
+    except TypeError:
+        pass
+    raise error(f"{rule}, got {value}")
 
 
-def _require_residue(residue: int, b: int) -> None:
-    if not 1 <= residue <= b - 1:
-        raise InvalidResidueError(f"residue must be in 1..{b - 1}, got {residue}")
+def _require_summands(n_summands: int) -> int:
+    return _require_index(n_summands, 1, inf, ValueError, "number of summands must be >= 1")
+
+
+def _require_residue(residue: int, b: int) -> int:
+    rule = f"residue must be in 1..{b - 1}"
+    return _require_index(residue, 1, b - 1, InvalidResidueError, rule)
 
 
 @dataclass(frozen=True)
@@ -234,7 +244,7 @@ class ReachabilityMask:
 
 def n_fold_sumset(a_set: FiniteIntegerSet, n_summands: int) -> ReachabilityMask:
     """The exact N-fold sumset NA as a mask over [0, b*N], layer N of the walk."""
-    _require_summands(n_summands)
+    n_summands = _require_summands(n_summands)
     _, mask, _ = next(islice(_walk(a_set.elements), n_summands - 1, None))
     return ReachabilityMask(a_set.b * n_summands, mask)
 
@@ -411,13 +421,11 @@ class ExceptionalProfile:
 
     def first_reachable_in(self, residue: int) -> int:
         """Least positive member of P(A) congruent to residue mod b."""
-        _require_residue(residue, self.modulus)
-        return self.first_reachable[residue - 1]
+        return self.first_reachable[_require_residue(residue, self.modulus) - 1]
 
     def min_summands_for(self, residue: int) -> int:
         """Least N such that first_reachable_in(residue) is a sum of N elements."""
-        _require_residue(residue, self.modulus)
-        return self.min_summands[residue - 1]
+        return self.min_summands[_require_residue(residue, self.modulus) - 1]
 
     @property
     def gaps(self) -> tuple[int, ...]:
@@ -481,7 +489,8 @@ def represent(n: int, a_set: FiniteIntegerSet, n_summands: int) -> Representatio
     each step takes the smallest element that still leaves a representable
     remainder, read off the walk's layers kA for k < N.
     """
-    _require_summands(n_summands)
+    n_summands = _require_summands(n_summands)
+    n = _require_index(n, -inf, inf, NotRepresentableError, "the target must be an integer")
     if n < 0 or n > a_set.b * n_summands:
         raise NotRepresentableError(
             f"{n} is not a sum of {n_summands} elements of {a_set}"

@@ -26,11 +26,18 @@ rotations, and subgroups of Z/bZ are enumerated as dZ/bZ for divisors d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from operator import index
 from typing import Iterable, Iterator
 
-from .core import FiniteIntegerSet, _bit_list, _iter_bits, _require_normalized, _set_str
+from .core import (
+    FiniteIntegerSet,
+    _bit_list,
+    _iter_bits,
+    _require_index,
+    _require_normalized,
+    _set_str,
+)
 from .errors import (
     EmptySetError,
     ModulusMismatchError,
@@ -61,13 +68,13 @@ class ResidueSet:
     bits: int
 
     def __post_init__(self) -> None:
-        _require_modulus(self.modulus)
+        object.__setattr__(self, "modulus", _require_modulus(self.modulus))
         if self.bits < 0 or self.bits >> self.modulus:
             raise ValueError("bitmask has bits outside 0..modulus-1")
 
     @classmethod
     def of(cls, values: Iterable[int], modulus: int) -> "ResidueSet":
-        _require_modulus(modulus)  # before reducing by it
+        modulus = _require_modulus(modulus)  # before reducing by it
         bits = 0
         for v in values:
             bits |= 1 << (index(v) % modulus)
@@ -90,9 +97,12 @@ class ResidueSet:
         return f"{_set_str(self)} mod {self.modulus}"
 
 
-def _require_modulus(modulus: int) -> None:
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+def _require_modulus(modulus: int) -> int:
+    return _require_index(modulus, 1, inf, ValueError, "modulus must be positive")
+
+
+def _require_k(k: int, name: str = "k") -> int:
+    return _require_index(k, 1, inf, ValueError, f"{name} must be >= 1")
 
 
 def residues_mod_b(a_set: FiniteIntegerSet) -> ResidueSet:
@@ -185,8 +195,7 @@ class GrowthProfile:
         )
 
     def size_of(self, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = _require_k(k)
         if k <= len(self._layers):
             return self._layers[k - 1].bit_count()
         return self.residues.modulus  # saturated from here on
@@ -256,8 +265,8 @@ def growth_profile(residues: ResidueSet, k_max: int | None = None) -> GrowthProf
     b = residues.modulus
     if gcd(b, *residues) != 1:
         raise NotGeneratingError(f"{residues} does not generate Z/{b}")
-    if k_max is not None and k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if k_max is not None:
+        k_max = _require_k(k_max, "k_max")
     return GrowthProfile(residues, _growth_layers(residues.bits, b), k_max)
 
 

@@ -1,10 +1,10 @@
 """Exhaustive verification of the interval description over small moduli.
 
-For each modulus b the harness walks every subset of the interior
-{1, ..., b-1} (as a bitmask, bit j standing for element j+1), keeps the
-sets with gcd 1, and checks the interval description of the N-fold
-sumset over a window of N values that provably decides the minimal
-threshold:
+For each modulus b the harness walks the subsets of the interior
+{1, ..., b-1} with a size in the ell window (as bitmasks, bit j standing
+for element j+1), keeps the sets with gcd 1, and checks the interval
+description of the N-fold sumset over a window of N values that provably
+decides the minimal threshold:
 
 * ``delta = 0`` certifies the unconditional guarantee: no normalized set
   may fail at any N >= max(1, b - ell).
@@ -32,19 +32,20 @@ analyzed; it emits the records of both, and a set that is its own
 mirror is emitted once.  Both members get the window
 [max(1, b - ell - delta), b - ell], since b-A has the b and ell of A.
 
-Work is partitioned into contiguous bitmask ranges, each a few
-milliseconds of work, the same at every worker count: they run in turn
-at one worker and on a process pool at more.  Every shard reports how
-many sets it analyzed (counting the mirror of each canonical set it
-holds, even when that mirror's mask lies in another shard), how many
-masks it skipped for gcd reasons, and the sum of the mask integers it
-visited; the merge step checks those against closed-form totals, so a
-lost or duplicated shard cannot go unnoticed.  Shards return finished
-records; the merge sorts them by b, interior mask and N, so reports are
-byte-identical across worker counts.  Pool workers ignore Ctrl-C; the
-parent takes it, cancels the pending shards and shuts the pool down.
-The parent holds SIGINT back while it submits shards, since that is when
-workers start.
+One stream, ``_masks_of_size``, yields the masks with s bits in
+increasing order from any rank on.  A shard is a size s, the ell of its
+sets, and a range of ranks among its C(b-1, s) masks, so a narrow ell
+window visits only the masks it holds.  Shards are the same at every
+worker count: they run in turn at one worker and on a process pool at
+more.  Every shard reports how many sets it analyzed and skipped for gcd
+reasons (each counting the mirror of every canonical set it holds, even
+one in another shard) and the sum of the masks it visited; the merge
+checks those against closed-form totals, so a lost or duplicated shard
+cannot go unnoticed.  Shards return finished records; the merge sorts
+them by b, interior mask and N, so reports are byte-identical across
+worker counts.  Pool workers ignore Ctrl-C; the parent takes it, cancels
+the pending shards and shuts the pool down.  The parent holds SIGINT
+back while it submits shards, since that is when workers start.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb, gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import FiniteIntegerSet, _bit_list, _known_set, _reverse_bits, _set_str
 from .errors import CatalogMismatchError
@@ -79,6 +81,8 @@ __all__ = [
 class ScanConfig:
     """Parameters of one exhaustive scan.
 
+    The ell window [ell_min, ell_max] bounds the masks the scan visits,
+    not only the sets it analyzes: a narrow window costs what it holds.
     At delta 2 the scan raises the bounds to b >= 9 and ell >= 5, the
     regime of the deeper catalog, so a window outside them scans nothing.
     """
@@ -141,30 +145,6 @@ class ScanResult:
     timing: dict[int, float] = field(default_factory=dict, compare=False)
 
 
-@dataclass
-class _Tally:
-    """What a mask walk passed over besides the sets it yielded."""
-
-    mask_sum: int = 0  # every mask visited, for the shard checksum
-    skipped_gcd: int = 0  # masks inside the ell window with gcd > 1
-
-
-def _walk_sets(
-    b: int, masks: Iterable[int], ell_lo: int, ell_hi: int, tally: _Tally
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (mask, elements) for each normalized set with endpoints 0 and b
-    whose interior mask is one of ``masks`` and size in [ell_lo, ell_hi]."""
-    for mask in masks:
-        tally.mask_sum += mask
-        interior = _bit_list(mask << 1)  # bit j of the mask stands for element j + 1
-        if not ell_lo <= len(interior) <= ell_hi:
-            continue
-        if gcd(b, *interior) != 1:
-            tally.skipped_gcd += 1
-            continue
-        yield mask, (0, *interior, b)
-
-
 def enumerate_sets(
     b: int, ell_min: int | None = None, ell_max: int | None = None
 ) -> Iterator[FiniteIntegerSet]:
@@ -174,25 +154,34 @@ def enumerate_sets(
     element j+1 is present) and visited in increasing numeric order, so
     the stream is deterministic.  Subsets whose elements share a factor
     with b are skipped.  An optional interior-size window [ell_min,
-    ell_max] narrows the stream.  There is one mask stream: the masks of
-    each wanted size merged, so a narrowed window costs what it yields.
+    ell_max] narrows the stream.  The masks are the scan's sized stream,
+    one per wanted size, merged, so a narrowed window costs what it yields.
     """
     if b < 2:
         raise ValueError(f"modulus must be at least 2, got {b}")
-    lo = 0 if ell_min is None else ell_min
-    hi = b - 1 if ell_max is None else ell_max
-    sized = (_masks_of_size(ell, b - 1) for ell in range(max(lo, 0), hi + 1))
-    masks = heapq.merge(*sized)
-    for _, elements in _walk_sets(b, masks, lo, hi, _Tally()):
-        yield FiniteIntegerSet(elements)
+    lo = 0 if ell_min is None else max(ell_min, 0)
+    hi = b - 1 if ell_max is None else min(ell_max, b - 1)
+    for mask in heapq.merge(*(_masks_of_size(ell, b - 1) for ell in range(lo, hi + 1))):
+        interior = _bit_list(mask << 1)  # bit j of the mask stands for element j + 1
+        if gcd(b, *interior) == 1:
+            yield FiniteIntegerSet((0, *interior, b))
 
 
-def _masks_of_size(size: int, width: int) -> Iterator[int]:
-    """Every mask below 2**width with ``size`` bits set, in increasing order.
+def _masks_of_size(size: int, width: int, rank: int = 0) -> Iterator[int]:
+    """The masks below 2**width with ``size`` <= width bits set, in
+    increasing order, from the one of the given rank on.
 
-    Each step is Gosper's hack: the next larger integer with as many bits.
+    Bits c_1 < ... < c_size have rank C(c_1, 1) + ... + C(c_size, size) in
+    that order (Knuth, TAOCP 4A, 7.2.1.3), so the first mask is unranked
+    greedily from the top bit down; each step after it is Gosper's hack.
     """
-    mask = (1 << size) - 1
+    mask, top = 0, width
+    for i in range(size, 0, -1):  # c_i is the largest c with C(c, i) <= rank
+        top -= 1
+        while comb(top, i) > rank:
+            top -= 1
+        rank -= comb(top, i)
+        mask |= 1 << top
     while mask >> width == 0:
         yield mask
         if not mask:
@@ -202,55 +191,44 @@ def _masks_of_size(size: int, width: int) -> Iterator[int]:
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def _scan_unit(
-    b: int,
-    mask_lo: int,
-    mask_hi: int,
-    ell_lo: int,
-    ell_hi: int,
-    delta: int,
-    witness_cap: int,
-):
-    """Scan one contiguous bitmask range into finished records.
+def _scan_unit(b: int, size: int, rank_lo: int, rank_hi: int, delta: int, witness_cap: int):
+    """Scan the masks of ``size`` bits ranked in [rank_lo, rank_hi) into records.
 
-    Only the canonical member of each pair {A, b-A} is analyzed: the one
-    whose mask is not above its mirror's.  It emits the records of both.
+    Only the canonical member of each pair {A, b-A}, the one whose mask is
+    not above its mirror's, goes further.  Since gcd(b, x) = gcd(b, b - x),
+    it is tested and counted for both, and it emits the records of both.
     """
-    analyzed = 0
-    tally = _Tally()
-    failures = []
-    mismatches = []
-    for mask, elements in _walk_sets(b, range(mask_lo, mask_hi), ell_lo, ell_hi, tally):
+    analyzed = skipped = mask_sum = 0
+    failures, mismatches = [], []
+    for mask in islice(_masks_of_size(size, b - 1, rank_lo), rank_hi - rank_lo):
+        mask_sum += mask
         mirror_mask = _reverse_bits(mask, b - 1)
         if mirror_mask < mask:
-            continue  # emitted by the shard holding its mirror
-        a_set = _known_set(elements)
+            continue  # counted and emitted with its mirror
+        pair = 1 if mirror_mask == mask else 2
+        interior = _bit_list(mask << 1)  # bit j of the mask stands for element j + 1
+        if gcd(b, *interior) != 1:
+            skipped += pair
+            continue
+        analyzed += pair
+        a_set = _known_set((0, *interior, b))
         analysis = _analyze(a_set)
-        guaranteed = b - a_set.ell  # the same for b-A
+        guaranteed = b - size  # the same for b-A
         window_lo = max(1, guaranteed - delta)
         fails = analysis.failures(window_lo, witness_cap)
         labels, mirror_labels = _classify(a_set, analysis.mirror, delta) if delta else ((), ())
-        sides = [(elements, labels)]
-        if mirror_mask != mask:
-            sides.append((analysis.mirror.elements, mirror_labels))
+        sides = [(a_set.elements, labels), (analysis.mirror.elements, mirror_labels)][:pair]
         failing = [n for n, *_ in fails]
         hard = [n for n in failing if n >= guaranteed]
         for side, (side_elements, side_labels) in enumerate(sides):
-            analyzed += 1
             label_strs = tuple(str(label) for label in side_labels)
             failures.extend(
                 FailureRecord(b, side_elements, n, witnesses[side], count, label_strs)
                 for n, count, *witnesses in fails
             )
             if hard:
-                mismatches.append(
-                    MismatchRecord(
-                        b,
-                        side_elements,
-                        "identity_violation",
-                        f"fails at N={hard} inside the guaranteed range N >= {guaranteed}",
-                    )
-                )
+                detail = f"fails at N={hard} inside the guaranteed range N >= {guaranteed}"
+                mismatches.append(MismatchRecord(b, side_elements, "identity_violation", detail))
             if delta and bool(fails) != bool(label_strs):
                 if fails:
                     kind = "failure_without_family"
@@ -265,7 +243,7 @@ def _scan_unit(
                         f"N in [{window_lo}, {guaranteed}]"
                     )
                 mismatches.append(MismatchRecord(b, side_elements, kind, detail))
-    return analyzed, tally.skipped_gcd, tally.mask_sum, failures, mismatches
+    return analyzed, skipped, mask_sum, failures, mismatches
 
 
 def _set_order(record: FailureRecord | MismatchRecord) -> tuple[int, int]:
@@ -299,10 +277,12 @@ def _map_units(pool, unit_args: list[tuple]) -> list:
     return list(results)
 
 
-def _units_for(b: int) -> list[tuple[int, int]]:
-    span = 1 << (b - 1)
-    unit = max(64, span // 512)
-    return [(lo, min(lo + unit, span)) for lo in range(0, span, unit)]
+def _units_for(b: int, sizes: range) -> list[tuple[int, int, int]]:
+    """Shards (size, rank_lo, rank_hi): each size's masks cut into rank
+    ranges of a 512th of all the sizes' masks, and at least 64."""
+    counts = {size: comb(b - 1, size) for size in sizes}
+    unit = max(64, sum(counts.values()) // 512)
+    return [(s, lo, min(lo + unit, n)) for s, n in counts.items() for lo in range(0, n, unit)]
 
 
 def scan_theorems(config: ScanConfig) -> ScanResult:
@@ -338,9 +318,10 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
         for b in range(b_lo, b_hi + 1):
             started = time.perf_counter()
             ell_hi = config.ell_max if config.ell_max is not None else b - 1
+            sizes = range(ell_lo, min(b - 1, ell_hi) + 1)
             unit_args = [
-                (b, lo, hi, ell_lo, ell_hi, config.delta, config.witness_cap)
-                for lo, hi in _units_for(b)
+                (b, size, lo, hi, config.delta, config.witness_cap)
+                for size, lo, hi in _units_for(b, sizes)
             ]
             if pool is None:
                 outcomes = [_scan_unit(*args) for args in unit_args]
@@ -355,11 +336,10 @@ def scan_theorems(config: ScanConfig) -> ScanResult:
                 all_failures += fails
                 all_mismatches += mismatches
 
-            span = 1 << (b - 1)
-            pool_size = sum(
-                comb(b - 1, ell) for ell in range(max(0, ell_lo), min(b - 1, ell_hi) + 1)
-            )
-            if mask_sum != span * (span - 1) // 2 or analyzed + skipped != pool_size:
+            # C(b-1, s) masks have size s; each bit is set in C(b-2, s-1) of them
+            masks = sum(comb(b - 1, size) for size in sizes)
+            bit_sets = sum(comb(b - 2, size - 1) for size in sizes if size)
+            if mask_sum != bit_sets * ((1 << (b - 1)) - 1) or analyzed + skipped != masks:
                 raise RuntimeError(
                     f"work partition for b={b} dropped or duplicated a shard"
                 )

@@ -60,7 +60,7 @@ from .core import (
     _walk,
     reflect,
 )
-from .modular import _growth_layers
+from .modular import _growth_layers, _require_k
 
 __all__ = [
     "StructureReport",
@@ -176,7 +176,7 @@ class _Analysis:
 
     def report(self, n_summands: int, witness_cap: int) -> StructureReport:
         """NA against D(N) at one N."""
-        _check_request(n_summands, witness_cap)
+        n_summands = _check_request(n_summands, witness_cap)
         layers = _walk(self.a_set.elements, self.first_mask)
         _, sumset, _ = next(islice(layers, n_summands - 1, None))
         missing = self._missing(n_summands, sumset)
@@ -218,7 +218,7 @@ class _Analysis:
         None.  The profile is built from the walk's record.
         """
         if n_summands is not None:
-            _check_request(n_summands, witness_cap)
+            n_summands = _check_request(n_summands, witness_cap)
         b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
         firsts = [(0, 0)] * (b - 1)
         layers = _walk(self.a_set.elements, self.first_mask, firsts)
@@ -238,10 +238,10 @@ class _Analysis:
         return last_bad + 1, report, _profile(b, firsts, self.gap_mask)
 
 
-def _check_request(n_summands: int, witness_cap: int) -> None:
+def _check_request(n_summands: int, witness_cap: int) -> int:
     if witness_cap < 1:
         raise ValueError("witness_cap must be at least 1")
-    _require_summands(n_summands)
+    return _require_summands(n_summands)
 
 
 def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
@@ -327,11 +327,10 @@ def placement_check(a_set: FiniteIntegerSet, residue: int, k: int) -> PlacementC
     so q0 <= k + b - |kB| - 1 <= N - k.
     """
     _require_normalized(a_set)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _require_k(k)
     elements = a_set.elements
     b = elements[-1]
-    _require_residue(residue, b)
+    residue = _require_residue(residue, b)
     levels, bit = _staircase(elements), 1 << residue
     for first_row, row in enumerate(levels[-1]):  # the final level's last row holds every class
         if row & bit:

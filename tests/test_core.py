@@ -105,6 +105,37 @@ def test_index_only_elements_are_stored_as_plain_ints():
     assert modular.ResidueSet.of(map(_IndexOnly, (0, 1, 70)), 100).size == 3
 
 
+def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
+    a_set = fis(0, 3, 70)
+    assert represent(_IndexOnly(76), a_set, _IndexOnly(3)) == represent(76, a_set, 3)
+    assert n_fold_sumset(a_set, _IndexOnly(3)) == n_fold_sumset(a_set, 3)
+    assert verifier.check_structure(a_set, _IndexOnly(5)) == verifier.check_structure(a_set, 5)
+    checked = verifier.placement_check(a_set, _IndexOnly(3), _IndexOnly(5))
+    assert checked == verifier.placement_check(a_set, 3, 5)
+    assert type(checked.target) is int and type(checked.n_summands) is int
+    residues = modular.ResidueSet.of([0, 1, 70], _IndexOnly(100))
+    assert type(residues.modulus) is int and residues.size == 3
+    assert str(residues) == "{0,1,70} mod 100"
+    assert modular.ResidueSet(_IndexOnly(5), 3) == modular.ResidueSet(5, 3)
+    profile = exceptional_profile(a_set)
+    assert profile.first_reachable_in(_IndexOnly(3)) == profile.first_reachable_in(3)
+    assert profile.min_summands_for(_IndexOnly(3)) == profile.min_summands_for(3)
+    growth = modular.growth_profile(modular.residues_mod_b(a_set), _IndexOnly(2))
+    assert growth == modular.growth_profile(modular.residues_mod_b(a_set), 2)
+    assert growth.size_of(_IndexOnly(2)) == growth.size_of(2)
+    # a value that operator.index refuses breaks the same rule as one out of range
+    for call, error in [
+        (lambda: n_fold_sumset(a_set, 1.5), ValueError),
+        (lambda: represent(3.0, a_set, 1), NotRepresentableError),
+        (lambda: profile.min_summands_for(3.0), errors.InvalidResidueError),
+        (lambda: verifier.placement_check(a_set, 3, 2.0), ValueError),
+        (lambda: modular.ResidueSet.of([0, 1], 2.0), ValueError),
+        (lambda: growth.size_of(1.5), ValueError),
+    ]:
+        with pytest.raises(error):
+            call()
+
+
 def test_reflect_examples_and_involution():
     assert reflect(fis(0, 3, 5)).elements == (0, 2, 5)
     full = fis(*range(8))

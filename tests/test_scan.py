@@ -236,11 +236,38 @@ def test_cataloged_set_that_never_fails_is_a_mismatch(monkeypatch):
     ids=["dropped", "repeated"],
 )
 def test_shard_checksums_catch_a_lost_or_repeated_shard(monkeypatch, corrupt, parallelism):
-    # b = 8 splits into two shards of 64 masks at every worker count
+    # b = 8 splits into eight shards, one per interior size, at every
+    # worker count: a lost last shard drops the mask 127, a repeated first
+    # one counts the mask 0 (gcd 8) twice
     units_for = scan._units_for
-    monkeypatch.setattr(scan, "_units_for", lambda b: corrupt(units_for(b)))
+    monkeypatch.setattr(scan, "_units_for", lambda *args: corrupt(units_for(*args)))
     with pytest.raises(RuntimeError, match="work partition for b=8 dropped or duplicated a shard"):
         scan_theorems(ScanConfig(8, 8, delta=1, parallelism=parallelism))
+
+
+def test_narrow_windows_cost_what_they_hold():
+    # b = 40 with ell <= 2 holds C(39, 0) + C(39, 1) + C(39, 2) masks; the
+    # scan's shards cover those and no others of the 2^39
+    units = scan._units_for(40, range(3))
+    assert sum(hi - lo for _, lo, hi in units) == 1 + 39 + 741 == 781
+    sizes = {size: 0 for size in range(3)}
+    for size, lo, hi in units:
+        assert lo == sizes[size] < hi
+        sizes[size] = hi
+    assert sizes == {0: 1, 1: 39, 2: 741}
+    coprime = [
+        interior
+        for size in range(3)
+        for interior in combinations(range(1, 40), size)
+        if gcd(40, *interior) == 1
+    ]
+    for delta in (0, 1):
+        result = scan_theorems(ScanConfig(40, 40, ell_max=2, delta=delta))
+        assert result.sets_scanned == len(coprime) == 568
+        assert result.skipped_gcd == 781 - 568 == 213
+        if delta == 0:
+            assert result.failures == ()
+            assert result.catalog_mismatches == ()
 
 
 def _scan_or_attached(config):
@@ -251,7 +278,8 @@ def _scan_or_attached(config):
 
 
 def test_reports_identical_across_parallelism():
-    # at b >= 10 the 64-mask shards split pairs {A, b-A} between workers
+    # from b = 9 on a size holds more than 64 masks, so its rank-range
+    # shards split pairs {A, b-A} between workers
     for b_min, b_max, delta in ((2, 10, 1), (9, 12, 2)):
         one = _scan_or_attached(ScanConfig(b_min, b_max, delta=delta, parallelism=1))
         two = _scan_or_attached(ScanConfig(b_min, b_max, delta=delta, parallelism=2))
