@@ -1,4 +1,4 @@
-"""Recognizers for the exceptional families of the structure identity.
+"""The catalogs of exceptional families of the structure identity.
 
 Most normalized sets ``A = {0, ..., b}`` satisfy the interval description
 of ``NA`` well below the guaranteed bound ``N = b - ell``.  The sets that
@@ -22,8 +22,8 @@ Failure catalogs (:func:`classify_exceptional_family`):
 above ``N = b - ell - 1``; adding ``G1`` through ``G4`` gives the sets
 failing at or above ``N = b - ell - 2`` (for ``b >= 9`` and ``ell >= 5``).
 Both catalogs are closed under the question "is ``A`` *or* its reflection
-``b - A`` of this shape", so every recognizer runs once on each, and
-those runs label both sets: a match on ``A`` is a reflected match of
+``b - A`` of this shape", so the catalog is read once off each, and
+those reads label both sets: a match on ``A`` is a reflected match of
 ``b - A`` and vice versa.
 
 Sufficiency catalog (:func:`appendix_family_threshold`): six parametrized
@@ -49,19 +49,33 @@ non-membership clauses) follow from the shapes on normalized input:
 * ``F2``, ``G1``: ``elements[2] = a + 1``, so only 0 and 1 are ``<= a``,
   and a sum of ``a - 1`` of them is at most ``a - 1 < a``.
 * ``G1``'s ``d``: ``a + 1`` is in ``A``, so ``d >= a + 2``; ``b`` is in
-  ``A`` and the run skips exactly one value, so ``d <= b - 1``.
+  ``A``, so ``d <= b - 1``.
 * ``G3``, ``G4``: the elements ``<= 5`` are ``{0, 1, 2}`` or ``{0, 1, 3}``,
   whose pairwise sums ``<= 5`` are ``{0, ..., 4}``, so ``5`` is not one.
 * ``A1``..``A6``: the gcd of a shape's elements is its printed gcd, which
   is 1 because ``A`` is normalized; only that ``b/2`` is whole is left.
 
-So each recognizer tests its shape on the element tuple alone, and
-classification builds no sumset: ``F1`` needs ``|A| = b``, ``G2``
-``|A| = b - 1``; ``F2`` and ``G1`` need ``1`` in ``A`` and a run from
-``elements[2]`` up to ``b`` with no skip or exactly one; ``G3`` and ``G4``
-need ``|A| = b - 2`` and their head followed by ``6``; a sparse shape
-needs its interior, and an even ``b`` where it names ``b/2``.  The tests check the recognizers
-against the printed catalog, side clauses included.
+So classification builds no sumset.  A failure shape is one test on
+``out``, the mask of what ``A`` leaves out of ``{0, ..., b - 1}``; ``top`` is
+its highest bit, ``rest`` is ``out`` without ``top``, and ``low`` is the
+highest bit of ``rest``:
+
+========  ===================  ==================================================
+family    left out             test on ``out``
+========  ===================  ==================================================
+F1(a)     {a}                  single bit, 2 <= top <= b - 2
+F2(a)     {2, ..., a}          out & (out + 4) == 0, 2 <= top <= b - 2
+G1(a, d)  {2, ..., a} and d    rest != 0, rest & (rest + 4) == 0, low + 2 <= top
+G2(a, c)  {a, c}               rest a single bit, 2 <= low, top <= b - 2
+G3        {3, 4, 5}            out == 0b111000
+G4        {2, 4, 5}            out == 0b110100
+========  ===================  ==================================================
+
+``x & (x + 4) == 0`` for a non-zero ``x`` says that its bits are one run
+starting at 2: adding 4 carries through the run and clears it.  A sparse
+shape needs its interior, and an even ``b`` where it names ``b/2``.  The
+tests check both readers against the printed catalog, side clauses
+included.
 """
 
 from __future__ import annotations
@@ -104,84 +118,34 @@ class FamilyLabel:
         return tag + ("~" if self.reflected else "")
 
 
-def _first_skipped(elements: tuple[int, ...], start: int, value: int) -> int:
-    """The least value, counting up from ``value``, that elements[start:] skips.
-
-    The caller has checked by length that the run skips something below b.
-    """
-    for x in elements[start:]:
-        if x != value:
-            break
-        value += 1
-    return value
-
-
-def _match_f1(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    elements = subject.elements
-    b = elements[-1]
-    if len(elements) != b:  # {0, ..., b} minus one element
-        return []
-    a = _first_skipped(elements, 0, 0)
-    if not 2 <= a <= b - 2:
-        return []
-    return [("F1", (("a", a),))]
-
-
-def _match_f2(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    elements = subject.elements
-    b = elements[-1]
-    # 0 and 1, then one run from elements[2] up to b
-    if len(elements) < 3 or elements[1] != 1 or b - elements[2] != len(elements) - 3:
-        return []
-    a = elements[2] - 1
-    if not 2 <= a <= b - 2:
-        return []
-    return [("F2", (("a", a),))]
-
-
-def _match_g1(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    elements = subject.elements
-    b = elements[-1]
-    # 0 and 1, then a run from elements[2] up to b that skips one value
-    if len(elements) < 3 or elements[1] != 1 or b - elements[2] != len(elements) - 2:
-        return []
-    a = elements[2] - 1
-    if not 2 <= a <= b - 2:
-        return []
-    return [("G1", (("a", a), ("d", _first_skipped(elements, 2, a + 1))))]
-
-
-def _match_g2(subject: FiniteIntegerSet) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    elements = subject.elements
-    b = elements[-1]
-    if len(elements) != b - 1:  # {0, ..., b} minus two elements
-        return []
-    a = _first_skipped(elements, 0, 0)
-    c = _first_skipped(elements, a, a + 1)
-    if not (2 <= a <= b - 2 and 2 <= c <= b - 2):
-        return []
-    return [("G2", (("a", a), ("c", c)))]
-
-
-def _match_fixed_head(
-    subject: FiniteIntegerSet, head: tuple[int, ...], kind: str
+def _failure_shapes(
+    subject: FiniteIntegerSet, delta: int
 ) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
+    """The failure shapes the set fits at ``delta``, in catalog order, as
+    (kind, parameters), each read off what the set leaves out of {0, ..., b}."""
     elements = subject.elements
-    # b - 2 elements: the head (6 included), then a run up to b with no skip
-    if len(elements) != elements[-1] - 2 or elements[:4] != head:
-        return []
-    return [(kind, ())]
-
-
-_DELTA_ONE_MATCHERS = (_match_f1, _match_f2)
-_DELTA_TWO_MATCHERS = (
-    _match_f1,
-    _match_f2,
-    _match_g1,
-    _match_g2,
-    lambda s: _match_fixed_head(s, (0, 1, 2, 6), "G3"),
-    lambda s: _match_fixed_head(s, (0, 1, 3, 6), "G4"),
-)
+    b = elements[-1]
+    out = (2 << b) - 1 - sum(1 << x for x in elements)  # b is in A: bits 0..b-1
+    if not out:
+        return []  # the whole interval
+    top = out.bit_length() - 1
+    rest = out ^ (1 << top)
+    low = rest.bit_length() - 1
+    shapes = []
+    if not rest and 2 <= top <= b - 2:  # {a}
+        shapes.append(("F1", (("a", top),)))
+    if not out & (out + 4) and 2 <= top <= b - 2:  # {2, ..., a}
+        shapes.append(("F2", (("a", top),)))
+    if delta == 2:
+        if rest and not rest & (rest + 4) and low + 2 <= top:  # {2, ..., a} and d
+            shapes.append(("G1", (("a", low), ("d", top))))
+        if rest and not rest & (rest - 1) and 2 <= low and top <= b - 2:  # {a, c}
+            shapes.append(("G2", (("a", low), ("c", top))))
+        if out == 0b111000:  # {3, 4, 5}
+            shapes.append(("G3", ()))
+        if out == 0b110100:  # {2, 4, 5}
+            shapes.append(("G4", ()))
+    return shapes
 
 
 def classify_exceptional_family(
@@ -209,16 +173,13 @@ def _classify(
     a_set: FiniteIntegerSet, mirror: FiniteIntegerSet, delta: int
 ) -> tuple[tuple[FamilyLabel, ...], tuple[FamilyLabel, ...]]:
     """The labels of a normalized A and of its reflection ``mirror``, which
-    the caller has built already, from one run of the recognizers on each.
+    the caller has built already, from one read of the failure catalog off
+    each (:func:`_failure_shapes`).
 
     Each side lists its own matches first; a match on one side is the
     other side's reflected match.
     """
-    matchers = _DELTA_ONE_MATCHERS if delta == 1 else _DELTA_TWO_MATCHERS
-    on_a, on_mirror = (
-        [match for matcher in matchers for match in matcher(subject)]
-        for subject in (a_set, mirror)
-    )
+    on_a, on_mirror = _failure_shapes(a_set, delta), _failure_shapes(mirror, delta)
     return tuple(
         tuple(
             FamilyLabel(kind, parameters, reflected)

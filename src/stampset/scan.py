@@ -55,12 +55,12 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
-from math import comb, gcd
+from math import comb, gcd, inf
 from typing import Iterator
 
-from .core import FiniteIntegerSet, _bit_list, _known_set, _reverse_bits, _set_str
+from .core import FiniteIntegerSet, _bit_list, _known_set, _require_index, _reverse_bits, _set_str
 from .errors import CatalogMismatchError
 from .families import _classify
 from .verifier import DEFAULT_WITNESS_CAP, _analyze
@@ -75,6 +75,13 @@ __all__ = [
     "render_report",
     "emit_report",
 ]
+
+
+def _plain(value: int | None, name: str) -> int | None:
+    """``value`` as a plain int, through ``operator.index``; None stays None."""
+    if value is None:
+        return None
+    return _require_index(value, -inf, inf, ValueError, f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,8 @@ class ScanConfig:
     witness_cap: int = DEFAULT_WITNESS_CAP
 
     def __post_init__(self) -> None:
+        for name in (item.name for item in fields(self)):  # every field is an int or None
+            object.__setattr__(self, name, _plain(getattr(self, name), name))
         if not 2 <= self.b_min <= self.b_max:
             raise ValueError(
                 f"need 2 <= b_min <= b_max, got [{self.b_min}, {self.b_max}]"
@@ -157,8 +166,8 @@ def enumerate_sets(
     ell_max] narrows the stream.  The masks are the scan's sized stream,
     one per wanted size, merged, so a narrowed window costs what it yields.
     """
-    if b < 2:
-        raise ValueError(f"modulus must be at least 2, got {b}")
+    b = _require_index(b, 2, inf, ValueError, "modulus must be at least 2")
+    ell_min, ell_max = _plain(ell_min, "ell_min"), _plain(ell_max, "ell_max")
     lo = 0 if ell_min is None else max(ell_min, 0)
     hi = b - 1 if ell_max is None else min(ell_max, b - 1)
     for mask in heapq.merge(*(_masks_of_size(ell, b - 1) for ell in range(lo, hi + 1))):

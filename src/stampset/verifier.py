@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import inf
 
 from .core import (
     ExceptionalProfile,
@@ -52,6 +53,7 @@ from .core import (
     _first_members,
     _iter_bits,
     _profile,
+    _require_index,
     _require_normalized,
     _require_residue,
     _require_summands,
@@ -176,7 +178,7 @@ class _Analysis:
 
     def report(self, n_summands: int, witness_cap: int) -> StructureReport:
         """NA against D(N) at one N."""
-        n_summands = _check_request(n_summands, witness_cap)
+        n_summands, witness_cap = _check_request(n_summands, witness_cap)
         layers = _walk(self.a_set.elements, self.first_mask)
         _, sumset, _ = next(islice(layers, n_summands - 1, None))
         missing = self._missing(n_summands, sumset)
@@ -218,7 +220,7 @@ class _Analysis:
         None.  The profile is built from the walk's record.
         """
         if n_summands is not None:
-            n_summands = _check_request(n_summands, witness_cap)
+            n_summands, witness_cap = _check_request(n_summands, witness_cap)
         b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
         firsts = [(0, 0)] * (b - 1)
         layers = _walk(self.a_set.elements, self.first_mask, firsts)
@@ -238,10 +240,10 @@ class _Analysis:
         return last_bad + 1, report, _profile(b, firsts, self.gap_mask)
 
 
-def _check_request(n_summands: int, witness_cap: int) -> int:
-    if witness_cap < 1:
-        raise ValueError("witness_cap must be at least 1")
-    return _require_summands(n_summands)
+def _check_request(n_summands: int, witness_cap: int) -> tuple[int, int]:
+    """N and the witness cap as plain ints, each checked against its rule."""
+    cap = _require_index(witness_cap, 1, inf, ValueError, "witness_cap must be at least 1")
+    return _require_summands(n_summands), cap
 
 
 def _analyze(a_set: FiniteIntegerSet) -> _Analysis:

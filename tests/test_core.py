@@ -110,6 +110,8 @@ def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
     assert represent(_IndexOnly(76), a_set, _IndexOnly(3)) == represent(76, a_set, 3)
     assert n_fold_sumset(a_set, _IndexOnly(3)) == n_fold_sumset(a_set, 3)
     assert verifier.check_structure(a_set, _IndexOnly(5)) == verifier.check_structure(a_set, 5)
+    capped = verifier.check_structure(a_set, 5, _IndexOnly(3))
+    assert capped == verifier.check_structure(a_set, 5, 3) and type(capped.witness_cap) is int
     checked = verifier.placement_check(a_set, _IndexOnly(3), _IndexOnly(5))
     assert checked == verifier.placement_check(a_set, 3, 5)
     assert type(checked.target) is int and type(checked.n_summands) is int

@@ -106,6 +106,40 @@ def test_config_validation():
             ScanConfig(2, 4, ell_min=ell_min, ell_max=ell_max)
 
 
+class _IndexOnly:
+    """An integer-like value that offers nothing but ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_integer_arguments_are_taken_as_plain_ints():
+    wrapped = ScanConfig(_IndexOnly(2), _IndexOnly(6), _IndexOnly(1), _IndexOnly(3), delta=True)
+    assert wrapped == ScanConfig(2, 6, 1, 3, delta=1)
+    assert all(type(value) is int for value in vars(wrapped).values())
+    report = render_report(scan_theorems(wrapped))
+    assert report == render_report(scan_theorems(ScanConfig(2, 6, 1, 3, delta=1)))
+    assert '"delta":1,' in report
+    plain = ScanConfig(2, 4, parallelism=_IndexOnly(1), witness_cap=_IndexOnly(3))
+    assert (plain.parallelism, plain.witness_cap) == (1, 3)
+    assert list(enumerate_sets(_IndexOnly(6), _IndexOnly(1), _IndexOnly(2))) == list(
+        enumerate_sets(6, 1, 2)
+    )
+    # a value that operator.index refuses is a ValueError, not a late TypeError
+    for call in [
+        lambda: ScanConfig(2, 6.0),
+        lambda: ScanConfig(2, 6, ell_max=1.5),
+        lambda: ScanConfig(2, 6, witness_cap=2.0),
+        lambda: enumerate_sets(6.0),
+        lambda: enumerate_sets(6, 1.5),
+    ]:
+        with pytest.raises(ValueError):
+            list(call())
+
+
 def test_windowed_scan_reports_are_pinned():
     # interior-size windows, down to one size, with their report bytes
     pinned = {
