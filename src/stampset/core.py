@@ -100,7 +100,7 @@ class FiniteIntegerSet:
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "FiniteIntegerSet":
-        return cls(tuple(sorted(set(values))))
+        return cls(tuple(sorted(set(_require_integers(list(values))))))
 
     @property
     def b(self) -> int:

@@ -125,7 +125,7 @@ def _failure_shapes(
     (kind, parameters), each read off what the set leaves out of {0, ..., b}."""
     elements = subject.elements
     b = elements[-1]
-    out = (2 << b) - 1 - sum(1 << x for x in elements)  # b is in A: bits 0..b-1
+    out = (2 << b) - 1 - sum(map((1).__lshift__, elements))  # b is in A: bits 0..b-1
     if not out:
         return []  # the whole interval
     top = out.bit_length() - 1
@@ -180,6 +180,8 @@ def _classify(
     other side's reflected match.
     """
     on_a, on_mirror = _failure_shapes(a_set, delta), _failure_shapes(mirror, delta)
+    if not (on_a or on_mirror):
+        return (), ()
     return tuple(
         tuple(
             FamilyLabel(kind, parameters, reflected)

@@ -69,7 +69,9 @@ class ResidueSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modulus", _require_modulus(self.modulus))
-        if self.bits < 0 or self.bits >> self.modulus:
+        bits = _require_index(self.bits, -inf, inf, ValueError, "bitmask must be an integer")
+        object.__setattr__(self, "bits", bits)
+        if bits < 0 or bits >> self.modulus:
             raise ValueError("bitmask has bits outside 0..modulus-1")
 
     @classmethod

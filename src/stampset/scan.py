@@ -226,6 +226,8 @@ def _scan_unit(b: int, size: int, rank_lo: int, rank_hi: int, delta: int, witnes
         window_lo = max(1, guaranteed - delta)
         fails = analysis.failures(window_lo, witness_cap)
         labels, mirror_labels = _classify(a_set, analysis.mirror, delta) if delta else ((), ())
+        if not (fails or labels):
+            continue  # quiet: b-A has labels exactly when A has, and the same failures
         sides = [(a_set.elements, labels), (analysis.mirror.elements, mirror_labels)][:pair]
         failing = [n for n, *_ in fails]
         hard = [n for n in failing if n >= guaranteed]

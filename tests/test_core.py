@@ -103,6 +103,13 @@ def test_index_only_elements_are_stored_as_plain_ints():
     assert normalize(map(_IndexOnly, (6, 12, 21))) == normalize((6, 12, 21))
     assert str(FiniteIntegerSet((0, True, 3))) == "{0,1,3}"
     assert modular.ResidueSet.of(map(_IndexOnly, (0, 1, 70)), 100).size == 3
+    # of() checks before it sorts, as the constructor and normalize() do
+    assert FiniteIntegerSet.of([0, _IndexOnly(3), 5]) == fis(0, 3, 5)
+    assert FiniteIntegerSet.of(map(_IndexOnly, (5, 0, 3, 0))) == fis(0, 3, 5)
+    with pytest.raises(InvalidSetError, match=r"must be integers, got \[0, None, 5\]"):
+        FiniteIntegerSet.of([0, None, 5])
+    with pytest.raises(InvalidSetError, match="must be integers"):
+        FiniteIntegerSet.of((0, 1.5, 5))
 
 
 def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
@@ -119,6 +126,14 @@ def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
     assert type(residues.modulus) is int and residues.size == 3
     assert str(residues) == "{0,1,70} mod 100"
     assert modular.ResidueSet(_IndexOnly(5), 3) == modular.ResidueSet(5, 3)
+    wrapped, plain = modular.ResidueSet(5, _IndexOnly(3)), modular.ResidueSet(5, 3)
+    assert wrapped == plain and type(wrapped.bits) is int and str(wrapped) == "{0,1} mod 5"
+    assert modular.mod_sumset(wrapped, wrapped) == modular.mod_sumset(plain, plain)
+    assert modular.growth_profile(wrapped, 3) == modular.growth_profile(plain, 3)
+    with pytest.raises(ValueError, match=r"bitmask must be an integer, got 1\.5"):
+        modular.ResidueSet(5, 1.5)
+    with pytest.raises(ValueError, match=r"bitmask has bits outside 0\.\.modulus-1"):
+        modular.ResidueSet(5, _IndexOnly(32))
     profile = exceptional_profile(a_set)
     assert profile.first_reachable_in(_IndexOnly(3)) == profile.first_reachable_in(3)
     assert profile.min_summands_for(_IndexOnly(3)) == profile.min_summands_for(3)
