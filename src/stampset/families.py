@@ -177,7 +177,8 @@ def _classify(
     each (:func:`_failure_shapes`).
 
     Each side lists its own matches first; a match on one side is the
-    other side's reflected match.
+    other side's reflected match.  So both sides are () together, as for
+    almost every set, and then no label is built.
     """
     on_a, on_mirror = _failure_shapes(a_set, delta), _failure_shapes(mirror, delta)
     if not (on_a or on_mirror):

@@ -41,11 +41,13 @@ more.  Every shard reports how many sets it analyzed and skipped for gcd
 reasons (each counting the mirror of every canonical set it holds, even
 one in another shard) and the sum of the masks it visited; the merge
 checks those against closed-form totals, so a lost or duplicated shard
-cannot go unnoticed.  Shards return finished records; the merge sorts
-them by b, interior mask and N, so reports are byte-identical across
-worker counts.  Pool workers ignore Ctrl-C; the parent takes it, cancels
-the pending shards and shuts the pool down.  The parent holds SIGINT
-back while it submits shards, since that is when workers start.
+cannot go unnoticed.  Shards return finished records, and a quiet pair,
+one with no failure in its window and no catalog label, emits none and
+costs only its check; the merge sorts the records by b, interior mask
+and N, so reports are byte-identical across worker counts.  Pool workers
+ignore Ctrl-C; the parent takes it, cancels the pending shards and shuts
+the pool down.  The parent holds SIGINT back while it submits shards,
+since that is when workers start.
 """
 
 from __future__ import annotations
