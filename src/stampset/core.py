@@ -229,6 +229,7 @@ class ReachabilityMask:
     bits: int
 
     def __contains__(self, n: int) -> bool:
+        n = index(n)  # a foreign integer type would shift in fixed width
         return 0 <= n <= self.bound and (self.bits >> n) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
@@ -362,18 +363,17 @@ def _staircase(elements: tuple[int, ...]) -> list[list[int]]:
     shifts by c are one window of the word R_{E-1}[q] << b | R_E[q-1],
     shifted right by b - c.
 
-    Rows grow with q and levels with E.  A level is stored up to its last
-    new row, which repeats from there on: once a row repeats past the
-    last row of the level before, all later rows do, and a full row stays
-    full.  The next level differs from this one only if some row is not
-    closed under adding an interior element inside the row, so the levels
-    stop at the first level whose rows all are closed: the final one.  A
-    row q or a level E past the end reads the last.
+    Rows grow with q and levels with E, and both stop by one rule: at the
+    first that repeats the one before.  A level is stored up to its last
+    new row: once a row repeats past the last row of the level before, all
+    later rows do, and a full row stays full.  Level E depends on level
+    E - 1 alone, so once a level repeats the one before, every later level
+    does too, and the levels stop before the repeat: the last stored level
+    is the final one.  A row q or a level E past the end reads the last.
     """
     b = elements[-1]
     full = (1 << b) - 1
-    interior = elements[1:-1]
-    offsets = [b - c for c in interior]
+    offsets = [b - c for c in elements[1:-1]]
     levels: list[list[int]] = []
     previous = [1]  # R_{-1}
     while True:
@@ -392,15 +392,9 @@ def _staircase(elements: tuple[int, ...]) -> list[list[int]]:
                 break
             below = row
             q += 1
-        levels.append(level)
-        for row in level:
-            grown = row
-            for c in interior:
-                grown |= row << c
-            if grown & full != row:
-                break
-        else:
+        if levels and level == previous:  # R_{-1} is not stored: {0, 1} keeps its level 0 = [1]
             return levels
+        levels.append(level)
         previous = level
 
 

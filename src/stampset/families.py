@@ -82,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FiniteIntegerSet, _require_normalized, reflect
+from .core import FiniteIntegerSet, _require_index, _require_normalized, reflect
 
 __all__ = [
     "FamilyLabel",
@@ -164,8 +164,7 @@ def classify_exceptional_family(
     up twice, once per side.
     """
     _require_normalized(a_set)
-    if delta not in (1, 2):
-        raise ValueError(f"delta must be 1 or 2, got {delta}")
+    delta = _require_index(delta, 1, 2, ValueError, "delta must be 1 or 2")
     return _classify(a_set, reflect(a_set), delta)[0]
 
 

@@ -79,7 +79,8 @@ class ResidueSet:
         modulus = _require_modulus(modulus)  # before reducing by it
         bits = 0
         for v in values:
-            bits |= 1 << (index(v) % modulus)
+            v = _require_index(v, -inf, inf, ValueError, "values must be integers")
+            bits |= 1 << (v % modulus)
         return cls(modulus, bits)
 
     @property
@@ -87,7 +88,7 @@ class ResidueSet:
         return self.bits.bit_count()
 
     def __contains__(self, residue: int) -> bool:
-        return (self.bits >> (residue % self.modulus)) & 1 == 1
+        return (self.bits >> (index(residue) % self.modulus)) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return _iter_bits(self.bits)
@@ -203,6 +204,7 @@ class GrowthProfile:
         return self.residues.modulus  # saturated from here on
 
     def smallest_k(self, delta: int) -> int:
+        delta = _require_index(delta, -inf, inf, ValueError, "delta must be an integer")
         b = self.residues.modulus
         ell = self.residues.size - 1
         for k in range(2, b + 2):

@@ -116,6 +116,8 @@ def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
     a_set = fis(0, 3, 70)
     assert represent(_IndexOnly(76), a_set, _IndexOnly(3)) == represent(76, a_set, 3)
     assert n_fold_sumset(a_set, _IndexOnly(3)) == n_fold_sumset(a_set, 3)
+    mask = n_fold_sumset(a_set, 3)
+    assert _IndexOnly(6) in mask and _IndexOnly(7) not in mask and _IndexOnly(-1) not in mask
     assert verifier.check_structure(a_set, _IndexOnly(5)) == verifier.check_structure(a_set, 5)
     capped = verifier.check_structure(a_set, 5, _IndexOnly(3))
     assert capped == verifier.check_structure(a_set, 5, 3) and type(capped.witness_cap) is int
@@ -130,6 +132,7 @@ def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
     assert wrapped == plain and type(wrapped.bits) is int and str(wrapped) == "{0,1} mod 5"
     assert modular.mod_sumset(wrapped, wrapped) == modular.mod_sumset(plain, plain)
     assert modular.growth_profile(wrapped, 3) == modular.growth_profile(plain, 3)
+    assert _IndexOnly(3) in modular.ResidueSet(5, 8) and _IndexOnly(2) not in modular.ResidueSet(5, 8)
     with pytest.raises(ValueError, match=r"bitmask must be an integer, got 1\.5"):
         modular.ResidueSet(5, 1.5)
     with pytest.raises(ValueError, match=r"bitmask has bits outside 0\.\.modulus-1"):
@@ -148,9 +151,15 @@ def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
         (lambda: verifier.placement_check(a_set, 3, 2.0), ValueError),
         (lambda: modular.ResidueSet.of([0, 1], 2.0), ValueError),
         (lambda: growth.size_of(1.5), ValueError),
+        (lambda: growth.smallest_k(0.5), ValueError),
+        (lambda: modular.ResidueSet.of([0, None], 5), ValueError),
+        (lambda: modular.ResidueSet.of([0, 1.5], 5), ValueError),
     ]:
         with pytest.raises(error):
             call()
+    for container in [mask, wrapped]:  # membership takes its probe through operator.index
+        with pytest.raises(TypeError):
+            1.5 in container
 
 
 def test_reflect_examples_and_involution():
@@ -312,8 +321,11 @@ def test_staircase_rows_match_brute_force_summand_counts():
     """Bit a of R_E[q] is set exactly when qb + a is a sum of at most
     q + E + 1 non-zero elements, for q and E up to b, past the stored rows
     and levels; the final level's first row holding a class is its first
-    member's row."""
+    member's row, and the levels stop before the first that repeats the
+    one before."""
     from random import Random
+
+    assert core._staircase((0, 1)) == [[1]]  # level 0 reads as R_{-1}, and is stored
 
     rng = Random(20261019)
     random_sets = []
@@ -335,6 +347,12 @@ def test_staircase_rows_match_brute_force_summand_counts():
             for excess in range(b + 1):
                 expected |= entered[excess]
                 assert staircase_row(levels, excess, q) == expected, (a, excess, q)
+        for excess in range(1, len(levels)):  # no level is stored twice
+            length = max(len(levels[excess - 1]), len(levels[excess]))
+            assert any(
+                staircase_row(levels, excess - 1, q) != staircase_row(levels, excess, q)
+                for q in range(length)
+            ), (a, excess)
         first_rows = exceptional_profile(a).first_reachable
         for c in range(1, b):
             q = next(q for q, row in enumerate(levels[-1]) if row >> c & 1)

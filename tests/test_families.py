@@ -129,6 +129,8 @@ def test_classify_validates_input():
         classify_exceptional_family(fis(0, 2, 4), 1)
     with pytest.raises(ValueError):
         classify_exceptional_family(fis(0, 1, 3, 4), 3)
+    with pytest.raises(ValueError, match=r"delta must be 1 or 2, got 2\.0"):
+        classify_exceptional_family(fis(0, 1, 3, 4), 2.0)
 
 
 def test_label_str_and_parameter_access():
