@@ -115,7 +115,7 @@ class FiniteIntegerSet:
         return self.elements[0] == 0 and gcd(*self.elements) == 1
 
     def __contains__(self, n: int) -> bool:
-        return n in self.elements
+        return index(n) in self.elements
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -370,10 +370,16 @@ def _staircase(elements: tuple[int, ...]) -> list[list[int]]:
     E - 1 alone, so once a level repeats the one before, every later level
     does too, and the levels stop before the repeat: the last stored level
     is the final one.  A row q or a level E past the end reads the last.
+
+    Every first member is a sum of at most b - ell non-zero elements, so
+    a level past the first b - ell, or a row past the first b - ell, means
+    the stop failed: that raises RuntimeError instead of growing the rows
+    without end.
     """
     b = elements[-1]
     full = (1 << b) - 1
     offsets = [b - c for c in elements[1:-1]]
+    bound = b - len(offsets)  # b - ell
     levels: list[list[int]] = []
     previous = [1]  # R_{-1}
     while True:
@@ -394,6 +400,8 @@ def _staircase(elements: tuple[int, ...]) -> list[list[int]]:
             q += 1
         if levels and level == previous:  # R_{-1} is not stored: {0, 1} keeps its level 0 = [1]
             return levels
+        if len(levels) == bound or len(level) > bound:
+            raise RuntimeError("excess staircase did not stabilize")
         levels.append(level)
         previous = level
 

@@ -227,7 +227,10 @@ def appendix_family_threshold(
     The returned integer is the N from which the interval description is
     guaranteed to hold for that family (1 for A1-A3, b - 1 - h for A4,
     b/2 for A5, b/2 - 1 for A6).  It is an upper bound for
-    :func:`~stampset.verifier.min_threshold`, not always the exact value.
+    :func:`~stampset.verifier.min_threshold`, and equal to it on every
+    A1-A6 set with 4 <= b <= 60 but one shape: the A4 sets
+    {0, h, h+1, 2h+1}, with b = 2h + 1, hold at every N (threshold 1)
+    while the printed bound is h.
     Patterns are tried in order A1..A6 and the first match wins; returns
     None when no shape fits.
     """

@@ -4,6 +4,8 @@ The acceptance tests register a one-line verdict per numbered criterion;
 this hook prints those lines in the terminal summary so the gate is
 readable even when individual test output is captured.  Tests that run
 the package in a subprocess take its environment from ``package_env``.
+``fis`` is the set constructor the test modules share; it lives here and
+not in ``oracles``, which imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ from pathlib import Path
 import pytest
 
 import stampset
+from stampset import FiniteIntegerSet
 
 _ACCEPTANCE_LINES: dict[int, str] = {}
+
+
+def fis(*values: int) -> FiniteIntegerSet:
+    return FiniteIntegerSet(tuple(values))
 
 
 @pytest.fixture(scope="session")

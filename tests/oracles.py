@@ -1,12 +1,58 @@
 """Independent brute-force reference implementations used to freeze and
 cross-check expected values.  Everything here is deliberately naive:
 itertools enumeration and per-element set arithmetic, no bitmasks, no
-shortcuts shared with the package code."""
+shortcuts shared with the package code, and nothing imported from it.
+
+The module also holds what the test modules share: the set streams
+``normalized_sets`` (every normalized set, in a fixed order) and
+``random_normalized_sets`` (seeded samples), the description oracle
+``brute_description`` with its cached profiles, ``staircase_row`` for
+reading the package's excess staircase, and ``_IndexOnly``, an
+integer-like probe."""
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations, combinations_with_replacement
 from math import gcd
+from random import Random
+
+
+def normalized_sets(b_values, ell_min=0, ell_max=None):
+    """Every normalized set (0, *interior, b) with b in b_values, ell_min <=
+    |interior| <= ell_max and gcd(b, *interior) = 1, as an element tuple,
+    in (b, interior size, lexicographic interior) order."""
+    for b in b_values:
+        top = b - 1 if ell_max is None else min(b - 1, ell_max)
+        for size in range(ell_min, top + 1):
+            for interior in combinations(range(1, b), size):
+                if gcd(b, *interior) == 1:
+                    yield (0, *interior, b)
+
+
+def random_normalized_sets(seed, count, b_values, sizes):
+    """count normalized sets drawn by Random(seed), as element tuples: b
+    uniform in b_values, an interior size uniform in sizes capped at b - 1,
+    that many interior elements sampled from 1 .. b - 1; a draw with
+    gcd(b, *interior) > 1 is dropped."""
+    rng = Random(seed)
+    drawn = []
+    while len(drawn) < count:
+        b = rng.randint(b_values[0], b_values[-1])
+        interior = rng.sample(range(1, b), rng.randint(sizes[0], min(sizes[-1], b - 1)))
+        if gcd(b, *interior) == 1:
+            drawn.append((0, *sorted(interior), b))
+    return drawn
+
+
+class _IndexOnly:
+    """An integer-like value that offers nothing but ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
 
 
 def brute_nfold(elements, n_summands):
@@ -49,6 +95,28 @@ def brute_profile(elements):
     return tuple(first), tuple(summands), tuple(gaps)
 
 
+cached_brute_profile = cache(brute_profile)
+
+
+def brute_first_reachable(elements):
+    """first_reachable of A and of b - A, from brute-force profiles."""
+    b = max(elements)
+    reflected = tuple(sorted(b - x for x in elements))
+    return cached_brute_profile(elements)[0], cached_brute_profile(reflected)[0]
+
+
+def brute_description(elements, n_summands):
+    """Oracle for the interval description, from brute-force profiles."""
+    b = max(elements)
+    first, first_r = brute_first_reachable(elements)
+    top = b * n_summands
+    keep = {n for n in range(0, top + 1, b)}
+    for a in range(1, b):
+        lo, hi = first[a - 1], top - first_r[b - a - 1]
+        keep.update(range(lo, hi + 1, b))
+    return keep
+
+
 def brute_min_summands(elements, bound):
     """For n = 0 .. bound, the least number of non-zero elements summing
     to n, or None where no sum of them is n: breadth first over the sums,
@@ -63,6 +131,12 @@ def brute_min_summands(elements, bound):
         } - least.keys()
         least.update(dict.fromkeys(frontier, summands))
     return [least.get(n) for n in range(bound + 1)]
+
+
+def staircase_row(levels, excess, q):
+    """R_E[q]: a level or a row past the end of the staircase repeats its last."""
+    level = levels[min(excess, len(levels) - 1)]
+    return level[min(q, len(level) - 1)]
 
 
 def brute_mod_sumset(u_residues, v_residues, modulus):
@@ -143,7 +217,6 @@ def brute_catalog(b, delta):
     for kind, parameters, shape in shapes:
         catalog.setdefault(frozenset(shape), []).append((kind, parameters))
     return catalog
-
 
 
 def brute_sparse_catalog(b):

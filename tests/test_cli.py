@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 import time
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 
 import pytest
 
@@ -15,6 +15,8 @@ from stampset import FiniteIntegerSet, exceptional_profile
 from stampset.cli import _build_parser, main
 from stampset.scan import enumerate_sets
 from stampset.verifier import check_structure, min_threshold
+
+from oracles import normalized_sets
 
 
 def run_cli(capsys, *argv):
@@ -157,13 +159,7 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
 def test_analyze_report_matches_check_structure(capsys):
     # every set with b <= 8, and every 37th set with ell <= 2 and b <= 40
     small = chain.from_iterable(enumerate_sets(b) for b in range(2, 9))
-    sparse = (
-        FiniteIntegerSet((0, *interior, b))
-        for b in range(9, 41)
-        for r in range(3)
-        for interior in combinations(range(1, b), r)
-    )
-    sparse = islice((a for a in sparse if a.is_normalized), 0, None, 37)
+    sparse = islice(map(FiniteIntegerSet, normalized_sets(range(9, 41), ell_max=2)), 0, None, 37)
     for a_set in chain(small, sparse):
         literal = ",".join(map(str, a_set.elements))
         threshold = min_threshold(a_set)

@@ -20,11 +20,16 @@ from stampset import (
     represent,
 )
 
-from oracles import brute_min_summands, brute_nfold, brute_profile
-
-
-def fis(*values: int) -> FiniteIntegerSet:
-    return FiniteIntegerSet(tuple(values))
+from conftest import fis
+from oracles import (
+    _IndexOnly,
+    brute_min_summands,
+    brute_nfold,
+    brute_profile,
+    normalized_sets,
+    random_normalized_sets,
+    staircase_row,
+)
 
 
 def test_construction_rejects_degenerate_and_unsorted():
@@ -82,16 +87,6 @@ def test_normalize_rejects_non_integers():
             normalize(values)
 
 
-class _IndexOnly:
-    """An integer-like value that offers nothing but ``__index__``."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
-
-
 def test_index_only_elements_are_stored_as_plain_ints():
     plain = fis(0, 3, 70)
     wrapped = FiniteIntegerSet(tuple(map(_IndexOnly, plain)))
@@ -118,6 +113,7 @@ def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
     assert n_fold_sumset(a_set, _IndexOnly(3)) == n_fold_sumset(a_set, 3)
     mask = n_fold_sumset(a_set, 3)
     assert _IndexOnly(6) in mask and _IndexOnly(7) not in mask and _IndexOnly(-1) not in mask
+    assert _IndexOnly(3) in a_set and _IndexOnly(4) not in a_set
     assert verifier.check_structure(a_set, _IndexOnly(5)) == verifier.check_structure(a_set, 5)
     capped = verifier.check_structure(a_set, 5, _IndexOnly(3))
     assert capped == verifier.check_structure(a_set, 5, 3) and type(capped.witness_cap) is int
@@ -157,9 +153,10 @@ def test_index_only_counts_residues_and_moduli_are_taken_as_plain_ints():
     ]:
         with pytest.raises(error):
             call()
-    for container in [mask, wrapped]:  # membership takes its probe through operator.index
-        with pytest.raises(TypeError):
-            1.5 in container
+    for container in [mask, wrapped, a_set]:  # membership takes its probe through operator.index
+        for probe in (1.5, 3.0):
+            with pytest.raises(TypeError):
+                probe in container
 
 
 def test_reflect_examples_and_involution():
@@ -243,24 +240,14 @@ def test_profile_rejects_unnormalized():
 
 
 def test_profile_matches_oracle_small_sets():
-    from itertools import combinations
-
-    every_small = [
-        (0, *interior, b)
-        for b in range(2, 9)
-        for r in range(b)
-        for interior in combinations(range(1, b), r)
-    ]
     # few elements and a larger b: long runs of gaps in a class, and
     # minimal summand counts up to b - 1
     sparse = [
         (0, 1, 29), (0, 28, 29), (0, 11, 29), (0, 6, 9, 29),
         (0, 2, 37, 40), (0, 13, 27, 40), (0, 5, 12, 15, 40),
     ]
-    for elements in every_small + sparse:
+    for elements in [*normalized_sets(range(2, 9)), *sparse]:
         a = FiniteIntegerSet(elements)
-        if not a.is_normalized:
-            continue
         prof = exceptional_profile(a)
         first, summands, gaps = brute_profile(a.elements)
         assert prof.first_reachable == first, a
@@ -270,28 +257,12 @@ def test_profile_matches_oracle_small_sets():
 
 
 def test_first_members_step_matches_the_full_profile():
-    from itertools import combinations
-    from random import Random
-
     from stampset.core import _first_members
     from stampset.verifier import placement_check
 
-    every_reflected = [
-        reflect(a)
-        for b in range(2, 13)
-        for r in range(b)
-        for interior in combinations(range(1, b), r)
-        if (a := fis(0, *interior, b)).is_normalized
-    ]
-    rng = Random(20261018)
-    random_sets = []
-    while len(random_sets) < 200:
-        b = rng.randint(2, 200)
-        interior = rng.sample(range(1, b), rng.randint(0, min(4, b - 1)))
-        a = FiniteIntegerSet.of((0, b, *interior))
-        if a.is_normalized:
-            random_sets.append(a)
-    for a in every_reflected + random_sets + [fis(0, 7, 60, 800)]:
+    every_reflected = [reflect(fis(*elements)) for elements in normalized_sets(range(2, 13))]
+    random_sets = random_normalized_sets(20261018, 200, range(2, 201), range(5))
+    for a in [*every_reflected, *map(FiniteIntegerSet, random_sets), fis(0, 7, 60, 800)]:
         prof = exceptional_profile(a)
         first_mask, gap_mask = _first_members(a.elements)
         assert gap_mask == prof.gap_mask, a
@@ -301,42 +272,24 @@ def test_first_members_step_matches_the_full_profile():
             assert target == prof.first_reachable_in(residue), (a, residue)
 
 
-def every_normalized_set(b_min, b_max):
-    from itertools import combinations
-
-    for b in range(b_min, b_max + 1):
-        for r in range(b):
-            for interior in combinations(range(1, b), r):
-                if (a := fis(0, *interior, b)).is_normalized:
-                    yield a
-
-
-def staircase_row(levels, excess, q):
-    """R_E[q]: a level or a row past the end of the staircase repeats its last."""
-    level = levels[min(excess, len(levels) - 1)]
-    return level[min(q, len(level) - 1)]
-
-
 def test_staircase_rows_match_brute_force_summand_counts():
     """Bit a of R_E[q] is set exactly when qb + a is a sum of at most
     q + E + 1 non-zero elements, for q and E up to b, past the stored rows
     and levels; the final level's first row holding a class is its first
     member's row, and the levels stop before the first that repeats the
-    one before."""
-    from random import Random
-
+    one before, within the first b - ell levels and rows."""
     assert core._staircase((0, 1)) == [[1]]  # level 0 reads as R_{-1}, and is stored
+    # a repeated 1 overstates ell: {0, 1, 5} has b - ell = 4 levels, so a
+    # bound of 1, or of 3, one short, must stop it
+    for overstated in [(0, 1, 1, 1, 1, 5), (0, 1, 1, 5)]:
+        with pytest.raises(RuntimeError, match="excess staircase did not stabilize"):
+            core._staircase(overstated)
 
-    rng = Random(20261019)
-    random_sets = []
-    while len(random_sets) < 50:
-        b = rng.randint(11, 40)
-        a = FiniteIntegerSet.of((0, b, *rng.sample(range(1, b), rng.randint(1, 4))))
-        if a.is_normalized:
-            random_sets.append(a)
-    for a in [*every_normalized_set(2, 10), *random_sets]:
+    random_sets = random_normalized_sets(20261019, 50, range(11, 41), range(1, 5))
+    for a in map(FiniteIntegerSet, [*normalized_sets(range(2, 11)), *random_sets]):
         b = a.b
         levels = core._staircase(a.elements)
+        assert len(levels) <= b - a.ell and all(len(level) <= b - a.ell for level in levels), a
         least = brute_min_summands(a.elements, (b + 1) * b - 1)
         for q in range(b + 1):
             entered = [0] * (b + 1)  # the classes whose excess in row q is E, at index E
@@ -361,7 +314,7 @@ def test_staircase_rows_match_brute_force_summand_counts():
 
 def test_staircase_transposes_under_reflection():
     # e_A(qb + a) <= E exactly when e_{b-A}(Eb + b - a) <= q
-    for a in every_normalized_set(3, 10):
+    for a in map(FiniteIntegerSet, normalized_sets(range(3, 11))):
         b = a.b
         levels, mirror = core._staircase(a.elements), core._staircase(reflect(a).elements)
         for q in range(b + 1):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 
 from stampset import FiniteIntegerSet, InvalidSetError, core
@@ -17,23 +15,8 @@ from stampset.modular import small_doubling_families
 from stampset.scan import ScanConfig, scan_theorems
 from stampset.verifier import all_n_criterion, check_structure, min_threshold
 
-from oracles import brute_catalog, brute_sparse_catalog
-
-
-def fis(*values: int) -> FiniteIntegerSet:
-    return FiniteIntegerSet(tuple(values))
-
-
-def every_normalized(b_range, ell_min=0, ell_max=None):
-    for b in b_range:
-        for r in range(b):
-            for interior in combinations(range(1, b), r):
-                a = FiniteIntegerSet((0, *interior, b))
-                if not a.is_normalized or a.ell < ell_min:
-                    continue
-                if ell_max is not None and a.ell > ell_max:
-                    continue
-                yield a
+from conftest import fis
+from oracles import brute_catalog, brute_sparse_catalog, normalized_sets
 
 
 def kinds_of(labels):
@@ -95,7 +78,7 @@ def test_delta_one_never_reports_g_families():
 
 @pytest.mark.parametrize("delta", [1, 2])
 def test_reflected_labels_are_the_labels_of_the_mirror(delta):
-    for a in every_normalized(range(2, 15)):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 15))):
         own, mirrored = _classify(a, reflect(a), delta)
         assert own == classify_exceptional_family(a, delta), a
         assert mirrored == classify_exceptional_family(reflect(a), delta), a
@@ -108,7 +91,7 @@ def test_classifier_is_the_printed_catalog(delta):
     labeled = 0
     for b in range(2, 15):
         catalog = brute_catalog(b, delta)
-        for a in every_normalized(range(b, b + 1)):
+        for a in map(FiniteIntegerSet, normalized_sets(range(b, b + 1))):
             mirror = frozenset(b - x for x in a.elements)
             expected = tuple(
                 (kind, parameters, reflected)
@@ -143,14 +126,14 @@ def test_label_str_and_parameter_access():
 
 def test_theorem_catalog_iff_small():
     # failure at some N >= max(1, b - ell - 1) happens exactly on catalog sets
-    for a in every_normalized(range(4, 11)):
+    for a in map(FiniteIntegerSet, normalized_sets(range(4, 11))):
         labeled = bool(classify_exceptional_family(a, 1))
         fails_late = min_threshold(a) > max(1, a.b - a.ell - 1)
         assert labeled == fails_late, a
 
 
 def test_labeled_sets_fail_exactly_at_the_stated_depth():
-    for a in every_normalized(range(4, 11)):
+    for a in map(FiniteIntegerSet, normalized_sets(range(4, 11))):
         if classify_exceptional_family(a, 1):
             assert not check_structure(a, max(1, a.b - a.ell - 1)).holds, a
             assert check_structure(a, a.b - a.ell).holds, a
@@ -166,7 +149,7 @@ def test_delta_two_catalog_gap_is_exactly_the_known_shape():
     on which catalog membership and observed failure disagree.
     """
     observed_gaps = set()
-    for a in every_normalized(range(9, 11), ell_min=5):
+    for a in map(FiniteIntegerSet, normalized_sets(range(9, 11), ell_min=5)):
         labeled = bool(classify_exceptional_family(a, 2))
         fails_late = min_threshold(a) > max(1, a.b - a.ell - 2)
         if labeled != fails_late:
@@ -226,7 +209,7 @@ def test_sparse_matcher_is_the_printed_catalog():
     matched = set()
     for b in range(2, 15):
         catalog = brute_sparse_catalog(b)
-        for a in every_normalized(range(b, b + 1)):
+        for a in map(FiniteIntegerSet, normalized_sets(range(b, b + 1))):
             entries = catalog.get(frozenset(a.elements))
             got = appendix_family_threshold(a)
             if entries is None:
@@ -248,7 +231,7 @@ def test_classification_builds_no_sumset(monkeypatch):
         raise AssertionError("classification walked the layers")
 
     monkeypatch.setattr(core, "_walk", no_walk)
-    for a in every_normalized(range(2, 13)):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 13))):
         classify_exceptional_family(a, 1)
         classify_exceptional_family(a, 2)
         appendix_family_threshold(a)
@@ -264,7 +247,7 @@ def test_appendix_rejects_other_shapes():
 
 def test_appendix_thresholds_are_sound_small():
     hits = 0
-    for a in every_normalized(range(4, 13)):
+    for a in map(FiniteIntegerSet, normalized_sets(range(4, 13))):
         matched = appendix_family_threshold(a)
         if matched is None:
             continue
@@ -275,3 +258,16 @@ def test_appendix_thresholds_are_sound_small():
             assert all_n_criterion(a), (a, label)
             assert min_threshold(a) == 1
     assert hits > 20  # the sweep actually exercised the matcher
+    # the printed bound is exact on every sparse shape up to b = 60 but A4
+    # with b = 2h + 1, which holds at every N
+    exceptions = 0
+    for b in range(4, 61):
+        for elements, entries in brute_sparse_catalog(b).items():
+            kind, _, _, h, threshold = entries[0]
+            exact = min_threshold(fis(*sorted(elements)))
+            if kind == "A4" and b == 2 * h + 1:
+                assert exact == 1, (elements, threshold)
+                exceptions += 1
+            else:
+                assert exact == threshold, (elements, kind, threshold)
+    assert exceptions == 28  # one for each odd b from 5 to 59

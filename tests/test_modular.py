@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 
@@ -24,7 +23,7 @@ from stampset.modular import (
     stabilizer,
 )
 
-from oracles import brute_mod_sumset, brute_stabilizer
+from oracles import brute_mod_sumset, brute_stabilizer, normalized_sets
 
 
 def rs(values, modulus):
@@ -126,21 +125,11 @@ def test_growth_profile_rejects_non_generating():
 def test_growth_law_two_per_step_exhaustive_small():
     # |kB| >= min(b, |(k-1)B| + 2) for all generating B with >= 2 non-zero
     # residues; growth_profile raises if the law ever failed.
-    from math import gcd
-
-    for b in range(3, 13):
-        for r in range(2, b):
-            for rest in combinations(range(1, b), r):
-                values = {0, *rest}
-                g = b
-                for x in values:
-                    g = gcd(g, x)
-                if g != 1:
-                    continue
-                prof = growth_profile(rs(values, b))
-                sizes = [e.size for e in prof.entries]
-                for prev, cur in zip(sizes, sizes[1:]):
-                    assert cur >= min(b, prev + 2)
+    for *values, b in normalized_sets(range(3, 13), ell_min=2):
+        prof = growth_profile(rs(values, b))
+        sizes = [e.size for e in prof.entries]
+        for prev, cur in zip(sizes, sizes[1:]):
+            assert cur >= min(b, prev + 2)
 
 
 def test_growth_law_violation_raises(monkeypatch):
@@ -218,23 +207,19 @@ def test_small_doubling_bound_consistency_exhaustive():
     # label absent => |2B| >= min(b, ell+4); label present => |2B| = ell+3;
     # and the doubling label is the sufficiency family's, renamed
     a_to_k = {"A1": "K1", "A2": "K2", "A3": "K4", "A4": "K3", "A5": "K5", "A6": "K6"}
-    for b in range(3, 15):
-        for r in range(2, b):
-            for interior in combinations(range(1, b), r):
-                a = FiniteIntegerSet((0, *interior, b))
-                if not a.is_normalized:
-                    continue
-                reduced = residues_mod_b(a)
-                two_b = mod_sumset(reduced, reduced).size
-                matches = small_doubling_families(a)
-                sparse = appendix_family_threshold(a)
-                if b >= a.ell + 4 and sparse is not None:
-                    label = sparse[0]
-                    expected = [(a_to_k[label.kind], label.parameters[0][1])]
-                    assert [(m.label, m.h) for m in matches] == expected, a
-                elif b >= a.ell + 4:
-                    assert matches == (), a
-                if matches:
-                    assert two_b == a.ell + 3, a
-                else:
-                    assert two_b >= min(b, a.ell + 4), a
+    for a in map(FiniteIntegerSet, normalized_sets(range(3, 15), ell_min=2)):
+        b = a.b
+        reduced = residues_mod_b(a)
+        two_b = mod_sumset(reduced, reduced).size
+        matches = small_doubling_families(a)
+        sparse = appendix_family_threshold(a)
+        if b >= a.ell + 4 and sparse is not None:
+            label = sparse[0]
+            expected = [(a_to_k[label.kind], label.parameters[0][1])]
+            assert [(m.label, m.h) for m in matches] == expected, a
+        elif b >= a.ell + 4:
+            assert matches == (), a
+        if matches:
+            assert two_b == a.ell + 3, a
+        else:
+            assert two_b >= min(b, a.ell + 4), a

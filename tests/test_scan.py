@@ -4,8 +4,6 @@ import errno
 import hashlib
 import json
 import time
-from itertools import combinations
-from math import gcd
 
 import pytest
 
@@ -25,7 +23,7 @@ from stampset.scan import (
 )
 from stampset.verifier import _Analysis, _analyze, check_structure
 
-from oracles import count_normalized_sets
+from oracles import _IndexOnly, count_normalized_sets, normalized_sets
 
 
 def test_enumerate_counts_frozen():
@@ -52,17 +50,13 @@ def test_enumerate_matches_mobius_count():
 
 
 def test_enumerate_narrowed_window_costs_what_it_yields():
+    def by_mask(elements):
+        return sum(1 << (x - 1) for x in elements[1:-1])
+
     started = time.perf_counter()
     got = [a.elements for a in enumerate_sets(40, ell_max=2)]
     assert time.perf_counter() - started < 1.0
-    oracle = [
-        (0, *interior, 40)
-        for size in range(3)
-        for interior in combinations(range(1, 40), size)
-        if gcd(40, *interior) == 1
-    ]
-    oracle.sort(key=lambda elements: sum(1 << (x - 1) for x in elements[1:-1]))
-    assert got == oracle
+    assert got == sorted(normalized_sets([40], ell_max=2), key=by_mask)
     full = [a for a in enumerate_sets(14) if 3 <= a.ell <= 5]
     assert list(enumerate_sets(14, 3, 5)) == full
     # every window, open ends included, against the oracle in mask order
@@ -74,13 +68,7 @@ def test_enumerate_narrowed_window_costs_what_it_yields():
                 hi = b - 1 if ell_max is None else ell_max
                 if lo > hi:
                     continue
-                oracle = [
-                    (0, *interior, b)
-                    for size in range(lo, hi + 1)
-                    for interior in combinations(range(1, b), size)
-                    if gcd(b, *interior) == 1
-                ]
-                oracle.sort(key=lambda elements: sum(1 << (x - 1) for x in elements[1:-1]))
+                oracle = sorted(normalized_sets([b], lo, hi), key=by_mask)
                 got = [a.elements for a in enumerate_sets(b, ell_min, ell_max)]
                 assert got == oracle, (b, ell_min, ell_max)
 
@@ -104,16 +92,6 @@ def test_config_validation():
     for ell_min, ell_max in [(3, 1), (-1, None), (None, -1), (-2, 3)]:  # empty or negative
         with pytest.raises(ValueError, match="need 0 <= ell_min <= ell_max"):
             ScanConfig(2, 4, ell_min=ell_min, ell_max=ell_max)
-
-
-class _IndexOnly:
-    """An integer-like value that offers nothing but ``__index__``."""
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
 
 
 def test_integer_arguments_are_taken_as_plain_ints():
@@ -289,12 +267,7 @@ def test_narrow_windows_cost_what_they_hold():
         assert lo == sizes[size] < hi
         sizes[size] = hi
     assert sizes == {0: 1, 1: 39, 2: 741}
-    coprime = [
-        interior
-        for size in range(3)
-        for interior in combinations(range(1, 40), size)
-        if gcd(40, *interior) == 1
-    ]
+    coprime = list(normalized_sets([40], ell_max=2))
     for delta in (0, 1):
         result = scan_theorems(ScanConfig(40, 40, ell_max=2, delta=delta))
         assert result.sets_scanned == len(coprime) == 568

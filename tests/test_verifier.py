@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, replace
 from functools import cache
-from itertools import combinations, islice
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,48 +25,18 @@ from stampset.verifier import (
     placement_check,
 )
 
+from conftest import fis
 from oracles import (
+    brute_description,
+    brute_first_reachable,
     brute_layers,
     brute_mod_sumset,
     brute_nfold,
     brute_profile,
     brute_sums_up_to,
+    cached_brute_profile,
+    normalized_sets,
 )
-
-
-def fis(*values: int) -> FiniteIntegerSet:
-    return FiniteIntegerSet(tuple(values))
-
-
-def every_normalized(b_max, ell_min=0, ell_max=None):
-    for b in range(2, b_max + 1):
-        for r in range(b if ell_max is None else min(b, ell_max + 1)):
-            for interior in combinations(range(1, b), r):
-                a = FiniteIntegerSet((0, *interior, b))
-                if a.is_normalized and a.ell >= ell_min:
-                    yield a
-
-
-cached_brute_profile = cache(brute_profile)
-
-
-def brute_first_reachable(elements):
-    """first_reachable of A and of b - A, from brute-force profiles."""
-    b = max(elements)
-    reflected = tuple(sorted(b - x for x in elements))
-    return cached_brute_profile(elements)[0], cached_brute_profile(reflected)[0]
-
-
-def brute_description(elements, n_summands):
-    """Oracle for the interval description, from brute-force profiles."""
-    b = max(elements)
-    first, first_r = brute_first_reachable(elements)
-    top = b * n_summands
-    keep = {n for n in range(0, top + 1, b)}
-    for a in range(1, b):
-        lo, hi = first[a - 1], top - first_r[b - a - 1]
-        keep.update(range(lo, hi + 1, b))
-    return keep
 
 
 def test_check_structure_failing_example():
@@ -100,7 +70,7 @@ def test_check_structure_witness_cap():
 def test_check_structure_matches_oracle_exhaustively():
     cases = [
         (a, n_summands)
-        for a in every_normalized(7)
+        for a in map(FiniteIntegerSet, normalized_sets(range(2, 8)))
         for n_summands in range(1, a.b - a.ell + 3)
     ]
     # Sparse sets up to b = 30: at N = 1 the largest gap of b - A usually
@@ -108,7 +78,7 @@ def test_check_structure_matches_oracle_exhaustively():
     # placed by shifts in both directions.
     cases += [
         (a, n_summands)
-        for a in islice(every_normalized(30, ell_max=2), 0, None, 37)
+        for a in islice(map(FiniteIntegerSet, normalized_sets(range(2, 31), 0, 2)), 0, None, 37)
         for n_summands in (1, 2, a.b - a.ell)
     ]
     for a, n_summands in cases:
@@ -165,7 +135,7 @@ def test_escape_check_covers_the_top_of_the_layer():
 
 def test_walk_matches_brute_force_layers_and_profiles():
     # every normalized set with b <= 12, every N from 1 to the anchor + 2
-    for a in every_normalized(12):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 13))):
         b, elements = a.b, a.elements
         analysis = _analyze(a)
         firsts = [(0, 0)] * (b - 1)
@@ -204,7 +174,7 @@ def test_anchor_of_the_count_free_walk(monkeypatch):
 
     monkeypatch.setattr(verifier, "_walk", recording_walk)
     # every reader's last layer is b - ell, or N when N lies beyond it
-    for a in every_normalized(12):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 13))):
         analysis, floor = _analyze(a), a.b - a.ell
         reached.clear()
         analysis.failures(1, 1)
@@ -216,7 +186,7 @@ def test_anchor_of_the_count_free_walk(monkeypatch):
 
 
 @st.composite
-def normalized_sets(draw, b_max=200):
+def sparse_normalized_sets(draw, b_max=200):
     b = draw(st.integers(2, b_max))
     interior = draw(st.sets(st.integers(1, b - 1), max_size=min(5, b - 1)))
     a = FiniteIntegerSet((0, *sorted(interior), b))
@@ -226,7 +196,7 @@ def normalized_sets(draw, b_max=200):
 
 
 @settings(max_examples=40, deadline=None)
-@given(normalized_sets())
+@given(sparse_normalized_sets())
 @example(fis(0, 57, 182))
 @example(fis(0, 2, 3, 97, 140))
 def test_narrow_mask_count_equals_the_full_diff(a):
@@ -267,7 +237,7 @@ def test_min_threshold_frozen_examples():
 
 def test_min_threshold_is_exact():
     # the returned N0 holds, N0 - 1 (when >= 1) fails
-    for a in every_normalized(9):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 10))):
         n0 = min_threshold(a)
         assert check_structure(a, n0).holds
         if n0 > 1:
@@ -276,12 +246,12 @@ def test_min_threshold_is_exact():
 
 def test_threshold_never_exceeds_interval_bound():
     # the description always holds from N = b - ell on
-    for a in every_normalized(10):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 11))):
         assert min_threshold(a) <= max(1, a.b - a.ell)
 
 
 def test_reflection_symmetry_of_the_description():
-    for a in every_normalized(8):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 9))):
         mirrored = reflect(a)
         for n_summands in range(1, a.b + 1):
             assert (
@@ -300,7 +270,7 @@ def test_all_n_criterion_examples():
 def test_all_n_criterion_matches_the_per_class_identity():
     # the description holds at every N >= 1 exactly when, for each class a,
     # first_A(a) + first_{b-A}(b-a) == b * min_summands_A(a)
-    for a in every_normalized(10):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 11))):
         b = a.b
         first, first_r = brute_first_reachable(a.elements)
         summands = cached_brute_profile(a.elements)[1]
@@ -329,7 +299,7 @@ def test_placement_check_vacuous_when_hypothesis_unmet():
 
 
 def test_placement_check_never_false_small():
-    for a in every_normalized(9, ell_min=1):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 10), ell_min=1)):
         for residue in range(1, a.b):
             for k in range(1, a.b + 1):
                 result = placement_check(a, residue, k)
@@ -343,7 +313,7 @@ def test_placement_check_matches_oracles_on_every_field():
     stored row.  It never reaches a negative excess bound: class a lies in
     (k + b - |kB|)B, so the target's row is at most N - 1."""
     reached = set()
-    for a in every_normalized(8):
+    for a in map(FiniteIntegerSet, normalized_sets(range(2, 9))):
         b = a.b
         levels = _staircase(a.elements)
         first, summands, _ = brute_profile(a.elements)
