@@ -35,7 +35,9 @@ producer, ``_first_members``, and one reader, the walk of the layers NA,
 ``_walk``: it meets each member in the layer that first reaches it, which
 gives the profile both its first_reachable and its min_summands.  Every
 first member is a sum of at most b - ell non-zero elements, so a member
-still pending at N = b - ell makes the walk raise.  The walk is the one
+still pending at N = b - ell makes the walk raise; the walk reads F only
+while some member is pending.  F is built inside Schur's bound on the
+Frobenius number, which caps every first member.  The walk is the one
 generator of layers: the verifier's per-set analysis, ``n_fold_sumset``
 and ``represent`` go over it as well.
 
@@ -291,9 +293,16 @@ def _first_members(elements: tuple[int, ...]) -> tuple[int, int]:
     first member exactly when n is in P(A) and n - b is not: F is
     P & ~(P << b) without 0.  F has one reader, ``_walk``, which meets each
     member in the layer that first reaches it.
+
+    Both masks are built inside [0, bound], which cuts (b-1)^2 (see
+    ``exceptional_profile``) at Schur's bound on the Frobenius number
+    (Brauer 1942): g(A) <= (a_1 - 1)(b - 1) - 1, a_1 the least non-zero
+    element, and every {0, a, b} attains it.  Every gap is at most g(A)
+    and every first member at most g(A) + b, so a class with no member
+    inside the bound raises.
     """
     b = elements[-1]
-    bound = (b - 1) ** 2
+    bound = min((b - 1) ** 2, (elements[1] - 1) * (b - 1) - 1 + b)
     semigroup = _semigroup_mask(elements, bound)
     first_mask = semigroup & ~(semigroup << b | 1)
     if first_mask.bit_count() != b - 1:  # impossible for a normalized set
@@ -322,7 +331,8 @@ def _walk(
     slots) it also records each of them with N, its minimal summand
     count, as (member, N) at index a-1 for class a.  Every first member is
     a sum of at most b - ell non-zero elements, so one still pending at
-    N = b - ell raises.
+    N = b - ell raises.  F is read only while something is pending: once
+    every member is reached, or without F, a layer costs only its shifts.
     """
     low, shifts, b = elements[0], elements[1:], elements[-1]
     floor = b - len(elements) + 2  # b - ell
@@ -337,14 +347,15 @@ def _walk(
         if cap is not None:
             layer &= cap
         sumset = layer
-        reached = sumset & pending
-        if reached:
-            pending ^= reached
-            if firsts is not None:
-                for n in _iter_bits(reached):
-                    firsts[n % b - 1] = (n, n_summands)
-        if pending and n_summands >= floor:
-            raise RuntimeError("minimal summand counts did not stabilize")
+        if pending:
+            reached = sumset & pending
+            if reached:
+                pending ^= reached
+                if firsts is not None:
+                    for n in _iter_bits(reached):
+                        firsts[n % b - 1] = (n, n_summands)
+            if pending and n_summands >= floor:
+                raise RuntimeError("minimal summand counts did not stabilize")
         yield n_summands, sumset, pending
 
 
@@ -453,11 +464,11 @@ def exceptional_profile(a_set: FiniteIntegerSet) -> ExceptionalProfile:
     Two steps: ``_first_members`` reads the first members, as a mask, and
     the gap mask off the semigroup mask, and ``_walk`` goes over the layers
     NA until each first member has appeared, recording it with its layer.
-    The first step works inside [0, (b-1)^2]: a minimal representative of
-    a non-zero class never uses the summand b (dropping it would yield a
-    smaller member of the same class) and needs at most b-1 summands, each
-    at most b-1, so every first_reachable value, and with it every gap,
-    fits under that bound.
+    The first step works inside [0, (b-1)^2], cut further at Schur's
+    bound: a minimal representative of a non-zero class never uses the
+    summand b (dropping it would yield a smaller member of the same class)
+    and needs at most b-1 summands, each at most b-1, so every
+    first_reachable value, and with it every gap, fits under that bound.
     """
     _require_normalized(a_set)
     elements = a_set.elements

@@ -71,6 +71,9 @@ G3        {3, 4, 5}            out == 0b111000
 G4        {2, 4, 5}            out == 0b110100
 ========  ===================  ==================================================
 
+Every failure shape leaves out only elements ``>= 2``, so it keeps 1: a
+set without 1 fits none, and is told so by one comparison.
+
 ``x & (x + 4) == 0`` for a non-zero ``x`` says that its bits are one run
 starting at 2: adding 4 carries through the run and clears it.  A sparse
 shape needs its interior, and an even ``b`` where it names ``b/2``.  The
@@ -124,6 +127,8 @@ def _failure_shapes(
     """The failure shapes the set fits at ``delta``, in catalog order, as
     (kind, parameters), each read off what the set leaves out of {0, ..., b}."""
     elements = subject.elements
+    if elements[1] != 1:
+        return []  # every shape keeps 1
     b = elements[-1]
     out = (2 << b) - 1 - sum(map((1).__lshift__, elements))  # b is in A: bits 0..b-1
     if not out:

@@ -211,8 +211,13 @@ def _scan_unit(b: int, size: int, rank_lo: int, rank_hi: int, delta: int, witnes
     """
     analyzed = skipped = mask_sum = 0
     failures, mismatches = [], []
+    guaranteed = b - size  # the same for b-A
+    window_lo = max(1, guaranteed - delta)
+    top = 1 << (b - 2)  # element b - 1
     for mask in islice(_masks_of_size(size, b - 1, rank_lo), rank_hi - rank_lo):
         mask_sum += mask
+        if mask >= top and not mask & 1:
+            continue  # holds b - 1 but not 1, so its mirror lies below it
         mirror_mask = _reverse_bits(mask, b - 1)
         if mirror_mask < mask:
             continue  # counted and emitted with its mirror
@@ -224,8 +229,6 @@ def _scan_unit(b: int, size: int, rank_lo: int, rank_hi: int, delta: int, witnes
         analyzed += pair
         a_set = _known_set((0, *interior, b))
         analysis = _analyze(a_set)
-        guaranteed = b - size  # the same for b-A
-        window_lo = max(1, guaranteed - delta)
         fails = analysis.failures(window_lo, witness_cap)
         labels, mirror_labels = _classify(a_set, analysis.mirror, delta) if delta else ((), ())
         if not (fails or labels):

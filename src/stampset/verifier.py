@@ -20,10 +20,11 @@ A's first-member mask F, and the gap masks of A and of b-A.
 ``placement_check`` builds neither F nor a layer: it reads the one class
 it tests off A's excess staircase, ``core._staircase``.  The mask of
 E(b-A) is bit-reversed once, so one shift places each gap g at bN - g.
-The one walk over the layers NA, ``core._walk``, does the rest, and is
-F's only reader: each reader goes over it and folds what it needs.  A
-layer clears the first members of A it reaches (the threshold and report
-record each with its layer, which is A's profile), and is checked
+The one walk over the layers NA, ``core._walk``, does the rest: each
+reader goes over it and folds what it needs.  A layer clears the first
+members of A it reaches from F (the threshold and report record each
+with its layer, which is A's profile); the scan's failure check walks
+without F and tests F once, against layer b - ell.  A layer is checked
 against D(N) without building it: the gaps of A against the bottom of
 the layer, the mirrored gaps of b-A against its top, and one count of NA
 against |D(N)| = bN + 1 - |gaps inside [0, bN]|, counted on the narrow
@@ -33,7 +34,8 @@ or at a requested N beyond it.  Facts this module relies on:
 
   * the description holds for every N >= b - ell (ell = interior count);
   * every first member is a sum of at most b - ell non-zero elements, so
-    none is pending at N = b - ell (the walk raises if one is);
+    none is pending at N = b - ell (the walk, or the failure check, raises
+    if one is);
   * if the description holds at an N0 at least as large as every
     per-class minimal summand count, it holds for all N >= N0 -- so
     scanning N = 1 .. b - ell determines the exact threshold, and the
@@ -106,10 +108,11 @@ class _Analysis:
 
     ``mirror`` is b-A, built once; the scan classifies it and emits its
     records.  ``first_mask`` and ``gap_mask`` are F and the gap mask of A,
-    the first step of its profile.  F is read only by the one walk over
-    A's layers, ``core._walk``, which every reader goes over itself; the
+    the first step of its profile.  F is read by the one walk over A's
+    layers, ``core._walk``, which every reader goes over itself; the
     threshold walk records each first member with its minimal summand
-    count there, and the profile is built from that record.  ``mirrored``
+    count there, and the profile is built from that record.  ``failures``
+    walks without F and tests it once, against layer b - ell.  ``mirrored``
     is the gap mask of b-A reversed over [0, mirror_width], where
     mirror_width is its largest gap (-1 without gaps): gap g sits at bit
     mirror_width - g, so a shift by bN - mirror_width moves it to bN - g.
@@ -187,18 +190,21 @@ class _Analysis:
     def failures(
         self, n_lo: int, witness_cap: int
     ) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-        """Every N from n_lo to b - ell where the description is strict.
+        """Every N from n_lo >= 1 to b - ell where the description is strict.
 
-        The walk goes to b - ell, checks the layers from n_lo on, and clears
-        F as a mask but records no first members.  Each failure is
-        (N, missing count, witnesses of A, witnesses of b-A).  Since n lies
-        in NA exactly when bN - n lies in N(b-A), b-A fails at the same N
-        with the same count, and its witnesses are bN - w for the largest
-        missing w of A.
+        The walk goes to b - ell without F and checks the layers from n_lo
+        on; the layers below the window are stepped over in C.  F is
+        checked once, against layer b - ell: the layers are nested, since
+        0 is in A, so a first member missing from that layer is one the
+        walk's own guard would find still pending there, and it raises the
+        same error.  Each failure is (N, missing count, witnesses of A,
+        witnesses of b-A).  Since n lies in NA exactly when bN - n lies in
+        N(b-A), b-A fails at the same N with the same count, and its
+        witnesses are bN - w for the largest missing w of A.
         """
         b, floor = self.a_set.b, self.a_set.b - self.a_set.ell
         found = []
-        for n, sumset, _ in islice(_walk(self.a_set.elements, self.first_mask), floor):
+        for n, sumset, _ in islice(_walk(self.a_set.elements), min(n_lo, floor) - 1, floor):
             missing = self._missing(n, sumset) if n >= n_lo else 0
             if missing:
                 diff = self.description(n) & ~sumset
@@ -206,6 +212,8 @@ class _Analysis:
                 found.append(
                     (n, missing, _witnesses(diff, witness_cap), _witnesses(mirror, witness_cap))
                 )
+        if self.first_mask & ~sumset:  # sumset is layer b - ell
+            raise RuntimeError("minimal summand counts did not stabilize")
         return found
 
     def threshold_and_report(
@@ -247,9 +255,9 @@ def _check_request(n_summands: int, witness_cap: int) -> tuple[int, int]:
 
 
 def _analyze(a_set: FiniteIntegerSet) -> _Analysis:
-    """Find the first members and gaps of A (so unnormalized input names A) and
-    the gaps of b - A, building b - A once."""
-    _require_normalized(a_set)
+    """Find the first members and gaps of a normalized A and the gaps of
+    b - A, building b - A once.  Callers check normalization: the public
+    entry points on outside input, the scan by its gcd test."""
     mirror = reflect(a_set)
     _, gaps_r = _first_members(mirror.elements)
     width = gaps_r.bit_length()
@@ -266,6 +274,7 @@ def check_structure(
     failed the computation itself is wrong, so that direction raises
     RuntimeError instead of being reported.
     """
+    _require_normalized(a_set)
     return _analyze(a_set).report(n_summands, witness_cap)
 
 
@@ -276,6 +285,7 @@ def min_threshold(a_set: FiniteIntegerSet) -> int:
     and holding at b - ell (which dominates every per-class minimal summand
     count) propagates to all larger N, so the scan range is sufficient.
     """
+    _require_normalized(a_set)
     return _analyze(a_set).threshold_and_report()[0]
 
 

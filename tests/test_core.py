@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -257,12 +258,19 @@ def test_profile_matches_oracle_small_sets():
 
 
 def test_first_members_step_matches_the_full_profile():
-    from stampset.core import _first_members
+    from stampset.core import _first_members, _semigroup_mask
     from stampset.verifier import placement_check
+
+    def closed_to_the_square(elements):  # F and the gap mask without Schur's bound
+        b = elements[-1]
+        bound = (b - 1) ** 2
+        semigroup = _semigroup_mask(elements, bound)
+        return semigroup & ~(semigroup << b | 1), ((1 << (bound + 1)) - 1) & ~semigroup
 
     every_reflected = [reflect(fis(*elements)) for elements in normalized_sets(range(2, 13))]
     random_sets = random_normalized_sets(20261018, 200, range(2, 201), range(5))
-    for a in [*every_reflected, *map(FiniteIntegerSet, random_sets), fis(0, 7, 60, 800)]:
+    sets = [*every_reflected, *map(FiniteIntegerSet, random_sets), fis(0, 7, 60, 800)]
+    for a in sets:
         prof = exceptional_profile(a)
         first_mask, gap_mask = _first_members(a.elements)
         assert gap_mask == prof.gap_mask, a
@@ -270,6 +278,15 @@ def test_first_members_step_matches_the_full_profile():
         for residue in range(1, a.b):  # the first member placement_check reads off the staircase
             target = placement_check(a, residue, 1).target
             assert target == prof.first_reachable_in(residue), (a, residue)
+    for a in [*sets, fis(0, 54, 269, 2481, 3200)]:
+        for side in (a, reflect(a)):
+            assert _first_members(side.elements) == closed_to_the_square(side.elements), side
+    # every {0, a, b} attains Schur's bound: its largest first member is g + b
+    for b in range(2, 41):
+        for a in range(1, b):
+            if gcd(a, b) == 1:
+                first_mask, _ = _first_members((0, a, b))
+                assert first_mask.bit_length() - 1 == (a - 1) * (b - 1) - 1 + b, (a, b)
 
 
 def test_staircase_rows_match_brute_force_summand_counts():

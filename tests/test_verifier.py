@@ -111,6 +111,10 @@ def test_theorem_checks_raise_on_a_corrupted_profile():
     unreached = replace(analysis, first_mask=first_mask)
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
         unreached.failures(1, 1)
+    # the scan's windows at delta 0 and 1 start at b - ell = 4 and at 3
+    for n_lo in (4, 3):
+        with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
+            unreached.failures(n_lo, 1)
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
         unreached.threshold_and_report()
     with pytest.raises(RuntimeError, match="minimal summand counts did not stabilize"):
@@ -233,6 +237,8 @@ def test_min_threshold_frozen_examples():
     assert min_threshold(fis(0, 1, 3, 4)) == 2
     assert min_threshold(fis(0, 1)) == 1
     assert min_threshold(fis(*range(10))) == 1
+    with pytest.raises(InvalidSetError):
+        min_threshold(fis(0, 2, 4))
 
 
 def test_min_threshold_is_exact():
@@ -265,6 +271,8 @@ def test_all_n_criterion_examples():
     assert all_n_criterion(fis(0, 2, 4, 7))
     assert not all_n_criterion(fis(0, 1, 5, 6))
     assert all_n_criterion(fis(0, 1))
+    with pytest.raises(InvalidSetError):
+        all_n_criterion(fis(0, 2, 4))
 
 
 def test_all_n_criterion_matches_the_per_class_identity():
